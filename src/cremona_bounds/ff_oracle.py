@@ -12,7 +12,7 @@ oracle/eigenspace equivalence sweep in the test suite pins this choice.
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .intlinalg import IntMatrix, matrix_order, smith_normal_form
 from .numth import check_prime, multiplicative_order, prime_power_decomposition
 
@@ -46,7 +46,7 @@ def rational_points_structure(tor: FiniteFieldTorus) -> tuple:
     """Invariant factors of T(F_q), unit factors retained (length = d)."""
     invariants = smith_normal_form(tor.point_matrix())
     if any(s == 0 for s in invariants):
-        raise AssertionError(
+        raise VerificationError(
             "q*sigma - I is singular; impossible for finite-order sigma and q >= 2"
         )
     return invariants
@@ -83,7 +83,7 @@ def smallest_field_with_t(p: int, t: int) -> int:
             continue
         if multiplicative_order(q, p) == t:
             return q
-    raise AssertionError(f"no admissible field found for p={p}, t={t}")  # unreachable
+    raise VerificationError(f"no admissible field for p={p}, t={t}")  # unreachable
 
 
 __all__ = [

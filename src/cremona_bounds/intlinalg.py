@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import IntPoly, cyclotomic_poly
-from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder
+from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
 from .numth import check_prime, euler_phi
 
 MAX_DIMENSION = 64
@@ -148,10 +148,6 @@ class IntMatrix:
             raise DomainError("matrix is not unimodular")
         return IntMatrix([[int(x) for x in row] for row in out])
 
-    def conjugate_by(self, u: "IntMatrix") -> "IntMatrix":
-        """u @ self @ u^{-1} for unimodular u."""
-        return u @ self @ u.inverse_unimodular()
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
@@ -192,7 +188,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
         for i in range(d, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
     if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("non-integral divided difference")
+        raise VerificationError("non-integral divided difference")
     acc = IntPoly((int(coeffs[d]),))
     for i in range(d - 1, -1, -1):
         acc = acc * IntPoly((-points[i], 1)) + IntPoly((int(coeffs[i]),))
@@ -341,7 +337,4 @@ __all__ = [
     "matrix_order",
     "smith_normal_form",
     "kernel_dim_mod_p",
-    "DomainError",
-    "NotCyclotomicProduct",
-    "NotFiniteOrder",
 ]

@@ -3,7 +3,7 @@
 import math
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 
 PRIME_CAP = 2**31
 
@@ -114,7 +114,7 @@ def primitive_root(p: int) -> int:
     for g in range(2, p):
         if multiplicative_order(g, p) == p - 1:
             return g
-    raise AssertionError(f"no primitive root found mod {p}")  # unreachable
+    raise VerificationError(f"no primitive root found mod {p}")  # unreachable
 
 
 def residues_of_order(p: int, t: int) -> list:
@@ -139,7 +139,3 @@ def prime_power_decomposition(q: int):
     if len(fac) != 1:
         return None
     return fac[0]
-
-
-def is_prime_power(q: int) -> bool:
-    return prime_power_decomposition(q) is not None

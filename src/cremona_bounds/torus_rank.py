@@ -14,7 +14,7 @@ an upper bound only.
 from dataclasses import dataclass, field
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .intlinalg import (
     IntMatrix,
     char_poly,
@@ -84,7 +84,7 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     bound = theorem_bound(pres.dimension, pres.chi_order)
     indices = cyclotomic_factorization(char_poly(pres.sigma))
     if rank > bound:
-        raise AssertionError(
+        raise VerificationError(
             f"eigenspace rank {rank} exceeds bound {bound}: theorem violated"
         )
     return RankCertificate(
@@ -192,7 +192,6 @@ __all__ = [
     "GaloisTorusPresentation",
     "RankCertificate",
     "ChainReport",
-    "euler_phi",
     "theorem_bound",
     "canonical_eps",
     "fixed_point_rank",

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cremona_bounds import ff_oracle, torus_rank
 from cremona_bounds.cli import main
+from cremona_bounds.intlinalg import IntMatrix
+from cremona_bounds.numth import divisors
 
 
 def run(capsys, *argv):
@@ -80,6 +83,16 @@ class TestLemma:
         code, _, err = run(capsys, "lemma", "--max-n", "5", "--primes", "2,4")
         assert code == 2
 
+    def test_lift_beyond_index_cap_is_skipped(self, capsys):
+        # n * 1009^2 > 10^6, so only the f = 1 power identity is checked
+        code, out, _ = run(
+            capsys, "lemma", "--max-n", "3", "--primes", "1009", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["results"]["checks_run"] == 3 * (2 * len(divisors(1008)) + 1)
+
 
 class TestTorusRank:
     def test_file_input(self, capsys, tmp_path):
@@ -129,6 +142,41 @@ class TestTorusRank:
         code, _, _ = run(capsys, "torus-rank", "--file", path, "--p", "3")
         assert code == 2
 
+    def test_booleans_are_not_integers(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path,
+            "torus.json",
+            {"dimension": True, "sigma": [[True]], "chi_order": True},
+        )
+        code, out, err = run(capsys, "torus-rank", "--file", path, "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
+    def test_rank_above_bound_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(torus_rank, "kernel_dim_mod_p", lambda m, p: 99)
+        path = write_json(
+            tmp_path,
+            "torus.json",
+            {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4},
+        )
+        code, out, err = run(capsys, "torus-rank", "--file", path, "--p", "5")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err and "exceeds bound" in err
+
+    def test_non_integral_char_poly_exits_3(self, capsys, tmp_path, monkeypatch):
+        # det(x*I - sigma) faked to 0, 1, 1 at x = 0, 1, 2: not a monic integer cubic
+        monkeypatch.setattr(IntMatrix, "det", lambda self: min(self.rows[0][0], 1))
+        path = write_json(
+            tmp_path,
+            "torus.json",
+            {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4},
+        )
+        code, _, err = run(capsys, "torus-rank", "--file", path, "--p", "5")
+        assert code == 3
+        assert "non-integral divided difference" in err
+
 
 class TestOracle:
     def test_single_file(self, capsys, tmp_path):
@@ -146,6 +194,23 @@ class TestOracle:
         path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[1]]})
         code, _, _ = run(capsys, "oracle", "--file", path, "--p", "2")
         assert code == 2
+
+    def test_dimension_must_match_sigma(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "ff.json", {"q": 4, "dimension": 5, "sigma": [[0, -1], [1, -1]]}
+        )
+        code, out, err = run(capsys, "oracle", "--file", path, "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert "dimension" in err
+
+    def test_singular_point_matrix_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(ff_oracle, "smith_normal_form", lambda m: (0, 1))
+        path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, -1], [1, -1]]})
+        code, out, err = run(capsys, "oracle", "--file", path, "--p", "3")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err and "singular" in err
 
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "oracle", "--count", "5", "--seed", "3")

@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cremona_bounds import cyclotomic
 from cremona_bounds.cyclotomic import (
     IntPoly,
     ModPoly,
     cyclotomic_poly,
-    multiplicative_order,
     order_t_multiplicity,
     reduce_mod,
     root_multiplicity,
     verify_lemma_range,
 )
-from cremona_bounds.errors import DomainError
-from cremona_bounds.numth import euler_phi, residues_of_order
+from cremona_bounds.errors import DomainError, VerificationError
+from cremona_bounds.numth import euler_phi, multiplicative_order, residues_of_order
 
 
 class TestIntPoly:
@@ -196,6 +196,11 @@ class TestOrderTMultiplicity:
     def test_bad_t(self):
         with pytest.raises(DomainError):
             order_t_multiplicity(4, 5, 3)
+
+    def test_disagreeing_residues_raise(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: eps)
+        with pytest.raises(VerificationError, match="disagree"):
+            order_t_multiplicity(4, 5, 4)
 
     def test_p_part_stripping_matches_direct(self):
         # when p | n the stripped path must agree with direct division

@@ -1,0 +1,230 @@
+"""Differential tests of the shared polynomial multiply and power core.
+
+`IntPoly` and `ModPoly` products and powers are compared with a schoolbook
+reference kept here, on both sides of the schoolbook/Kronecker crossover,
+and with evaluation at random points for operands too long for the reference.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cremona_bounds.cyclotomic import (
+    IntPoly,
+    ModPoly,
+    _power,
+    cyclotomic_poly,
+    reduce_mod,
+)
+
+PRIMES = (2, 3, 13, 65537, 2**31 - 1)
+# the length at which the product used to switch to a C convolution
+OLD_SWITCH = 4096
+
+
+def reference_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def mod_reference(p, a, b):
+    out = [c % p for c in reference_mul(a, b)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_pow(coeffs, n):
+    out = (1,)
+    for _ in range(n):
+        out = reference_mul(out, coeffs)
+    return out
+
+
+# empty and short operands, which take the schoolbook path, and longer
+# ones, which take Kronecker substitution unless they are sparse
+lengths = st.one_of(st.integers(0, 4), st.integers(8, 16), st.integers(1, 48))
+big_ints = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-(2**64) - 5, 2**64 + 5),
+    st.integers(-(2**90), 2**90),
+)
+
+
+def int_coeffs(length):
+    return st.lists(big_ints, min_size=length, max_size=length)
+
+
+def mod_coeffs(p):
+    # about half the coefficients are zero, as in powers of cyclotomic polynomials
+    coeff = st.one_of(st.just(0), st.integers(0, p - 1))
+    return lengths.flatmap(lambda k: st.lists(coeff, min_size=k, max_size=k))
+
+
+class TestIntPolyCore:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_reference(self, data):
+        a = data.draw(lengths.flatmap(int_coeffs))
+        b = data.draw(lengths.flatmap(int_coeffs))
+        assert (IntPoly(a) * IntPoly(b)).coeffs == reference_mul(
+            IntPoly(a).coeffs, IntPoly(b).coeffs
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=48))
+    def test_squaring_matches_reference(self, a):
+        f = IntPoly(a)
+        assert (f * f).coeffs == reference_mul(f.coeffs, f.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.lists(st.integers(-5, 5), min_size=0, max_size=32),
+        n=st.integers(0, 9),
+    )
+    def test_pow_matches_reference(self, a, n):
+        f = IntPoly(a)
+        assert (f**n).coeffs == reference_pow(f.coeffs, n)
+
+    def test_pow_edge_exponents(self):
+        f = IntPoly((3, -1, 4))
+        assert f**0 == IntPoly((1,))
+        assert f**1 == f
+        assert IntPoly() ** 0 == IntPoly((1,))
+        assert IntPoly() ** 1 == IntPoly()
+        with pytest.raises(ValueError):
+            f ** -1
+
+
+class TestModPolyCore:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_reference(self, data):
+        p = data.draw(st.sampled_from(PRIMES))
+        a, b = data.draw(mod_coeffs(p)), data.draw(mod_coeffs(p))
+        assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from(PRIMES),
+        a=st.lists(st.integers(0, 2**31), min_size=0, max_size=32),
+        n=st.integers(0, 9),
+    )
+    def test_pow_matches_reference(self, p, a, n):
+        f = ModPoly(p, a)
+        assert (f**n).coeffs == mod_reference(p, reference_pow(f.coeffs, n), (1,))
+
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    def test_pow_edge_exponents(self, p):
+        f = ModPoly(p, (1, 1, 1))
+        assert f**0 == ModPoly(p, (1,))
+        assert f**1 == f
+        assert ModPoly(p, ()) ** 0 == ModPoly(p, (1,))
+        assert ModPoly(p, ()) ** 1 == ModPoly(p, ())
+
+    def test_mixed_moduli_rejected(self):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            ModPoly(3, (1, 1)) * ModPoly(5, (1, 1))
+
+
+class TestLongOperands:
+    @pytest.mark.parametrize("p", [2, 13, 2**31 - 1])
+    def test_long_times_short(self, p):
+        rng = random.Random(p)
+        a = [rng.randrange(p) for _ in range(OLD_SWITCH + 57)]
+        for k in (3, 16, 40):
+            b = [rng.randrange(p) for _ in range(k)]
+            assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
+
+    def test_long_signed_int_times_short(self):
+        rng = random.Random(7)
+        a = [rng.randrange(-(2**70), 2**70) for _ in range(OLD_SWITCH + 9)]
+        b = [rng.randrange(-(2**66), 2**66) for _ in range(17)]
+        assert (IntPoly(a) * IntPoly(b)).coeffs == reference_mul(a, b)
+
+    @pytest.mark.parametrize("p", [2, 13, 2**31 - 1])
+    def test_long_times_long_by_evaluation(self, p):
+        rng = random.Random(p + 1)
+        f = ModPoly(p, [rng.randrange(p) for _ in range(OLD_SWITCH + 300)])
+        g = ModPoly(p, [rng.randrange(p) for _ in range(2 * OLD_SWITCH)])
+        prod, square = f * g, f * f
+        assert prod.degree == f.degree + g.degree
+        for x in [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]:
+            assert prod(x) == f(x) * g(x) % p
+            assert square(x) == f(x) * f(x) % p
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_sparse_long_power(self, p):
+        # Phi_{n p} = Phi_n^(p-1) mod p; Phi_n = X^1024 - X^512 + 1 is sparse
+        n = 3 * 2**10
+        pbar = reduce_mod(cyclotomic_poly(n), p)
+        assert pbar ** (p - 1) == reduce_mod(cyclotomic_poly(n * p), p)
+
+    def test_long_power_by_evaluation(self):
+        p = 2**31 - 1
+        rng = random.Random(3)
+        f = ModPoly(p, [rng.randrange(p) for _ in range(700)])
+        h = f**6
+        assert h.degree == 6 * f.degree
+        for x in [rng.randrange(p) for _ in range(5)]:
+            assert h(x) == pow(f(x), 6, p)
+
+
+@pytest.mark.parametrize("k", [16, 17, 64, 256, 1024])
+@pytest.mark.parametrize("m", [1, 8, 31, 64])
+def test_extreme_coefficients(k, m):
+    # the middle coefficient reaches the size bound the packing width is set from
+    top = 2**m - 1
+    overlap = [min(i + 1, k, 2 * k - 1 - i) for i in range(2 * k - 1)]
+    prod = IntPoly([-top] * k) * IntPoly([top] * k)
+    assert prod.coeffs == tuple(-top * top * c for c in overlap)
+    p = 2**31 - 1
+    square = ModPoly(p, [p - 1] * k) ** 2
+    assert square.coeffs == tuple(c % p for c in overlap)
+
+
+class CountingPoly:
+    """Stand-in that counts the products `_power` asks for."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        CountingPoly.products += 1
+        return CountingPoly(self.value * other.value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 31, 32, 100])
+def test_power_does_no_wasted_products(n):
+    CountingPoly.products = 0
+    assert _power(CountingPoly(3), n, CountingPoly(1)).value == 3**n
+    squarings = max(n.bit_length() - 1, 0)
+    assert CountingPoly.products == squarings + max(bin(n).count("1") - 1, 0)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, cremona_bounds; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
