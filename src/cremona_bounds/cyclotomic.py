@@ -4,15 +4,18 @@ Integer polynomials are exact (arbitrary-precision coefficients); modular
 polynomials live over Z/p for a prime p. Both share one multiply core
 (schoolbook, or Kronecker substitution after Harvey, JSC 44 (2009)); like the
 whole package it uses only the standard library. Cyclotomic indices up to
-10^6 are supported, with the caveat that very large squarefree indices are slow.
+10^6 are supported.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .errors import DomainError, VerificationError
-from .numth import check_prime, divisors, euler_phi, radical, residues_of_order
+from .numth import check_prime, divisors, euler_phi, factorize, residues_of_order
 
 MAX_CYCLOTOMIC_INDEX = 10**6
 
@@ -21,7 +24,8 @@ MAX_CYCLOTOMIC_INDEX = 10**6
 # dense random operands 6 is within 2% of the faster path; counting nonzeros
 # keeps sparse powers such as those of X^4096 + 1 off Kronecker substitution.
 _KRONECKER_BREAK_EVEN = 6
-# digit widths that struct unpacks in C, 4-7 times faster than int.from_bytes
+# digit widths that struct packs and unpacks in C, 4-7 times faster than
+# int.to_bytes and int.from_bytes
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -35,7 +39,11 @@ def _strip(coeffs):
 def _pack(coeffs, nbytes):
     """sum c_i * 2^(8*nbytes*i) for |c_i| < 2^(8*nbytes - 1)."""
     bias = 1 << (8 * nbytes - 1)
-    raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
+    code = _WORD_CODES.get(nbytes)
+    if code:
+        raw = struct.pack(f"<{len(coeffs)}{code}", *[c + bias for c in coeffs])
+    else:
+        raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
     biases = bias.to_bytes(nbytes, "little") * len(coeffs)
     return int.from_bytes(raw, "little") - int.from_bytes(biases, "little")
 
@@ -168,12 +176,6 @@ class IntPoly(_Poly):
                     rem[i - dd + j] -= c * b
         return IntPoly(quot), IntPoly(rem)
 
-    def exact_div_monic(self, divisor: "IntPoly") -> "IntPoly":
-        q, r = self.divmod_monic(divisor)
-        if r:
-            raise ArithmeticError(f"division of {self} by {divisor} is not exact")
-        return q
-
     def compose_power(self, k: int) -> "IntPoly":
         """Substitute X -> X^k."""
         if k < 1:
@@ -240,19 +242,6 @@ class ModPoly(_Poly):
             acc = (acc * x + c) % self.p
         return acc
 
-    def divmod_linear(self, eps: int):
-        """Synthetic division by (X - eps) over Z/p: (quotient, remainder)."""
-        if not self:
-            return ModPoly(self.p, ()), 0
-        eps %= self.p
-        quot = [0] * self.degree
-        acc = 0
-        for i in range(self.degree, -1, -1):
-            acc = (acc * eps + self.coeffs[i]) % self.p
-            if i > 0:
-                quot[i - 1] = acc
-        return ModPoly(self.p, quot), acc
-
     def __str__(self):
         return f"({IntPoly(self.coeffs)}) mod {self.p}"
 
@@ -264,20 +253,38 @@ class ModPoly(_Poly):
 def cyclotomic_poly(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exact over the integers.
 
-    Squarefree indices use the exact-division recursion
-    Phi_n = (X^n - 1) / prod_{d|n, d<n} Phi_d; a non-squarefree index n
-    reduces to its radical r via Phi_n(X) = Phi_r(X^(n/r)).
+    A squarefree index n > 1 uses the sparse product
+    Phi_n = prod_{d|n} (1 - X^d)^mu(n/d) of Arnold & Monagan, "Calculating
+    cyclotomic polynomials", Math. Comp. 80 (2011), as power series truncated
+    past degree phi(n); a non-squarefree index n reduces to its radical r via
+    Phi_n(X) = Phi_r(X^(n/r)).
     """
     if not isinstance(n, int) or n < 1 or n > MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"cyclotomic index out of range [1, 10^6]: {n!r}")
-    r = radical(n)
+    if n == 1:
+        return IntPoly((-1, 1))
+    primes = [q for q, _ in factorize(n)]
+    r = math.prod(primes)
     if r != n:
         return cyclotomic_poly(r).compose_power(n // r)
-    quot = IntPoly.x_pow_minus_one(n)
-    for d in divisors(n):
-        if d < n:
-            quot = quot.exact_div_monic(cyclotomic_poly(d))
-    return quot
+    # (d, parity of the number of primes of n/d) for every d | n
+    terms = [(1, len(primes) % 2)]
+    for q in primes:
+        terms += [(d * q, odd ^ 1) for d, odd in terms]
+    size = euler_phi(n) + 1
+    coeffs = [1] + [0] * (size - 1)
+    # multiplications (mu = +1) first; a factor 1 - X^d with d >= size leaves
+    # the truncated series as it is
+    for d, odd in sorted(terms, key=lambda term: term[1]):
+        if d >= size:
+            continue
+        if not odd:
+            coeffs[d:] = map(sub, coeffs[d:], coeffs)
+        else:
+            # 1 / (1 - X^d): running sums along each residue class mod d
+            for i in range(d):
+                coeffs[i::d] = accumulate(coeffs[i::d])
+    return IntPoly(coeffs)
 
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
@@ -289,16 +296,23 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     """Largest m with (X - eps)^m dividing pbar over Z/p."""
     if not pbar:
         raise DomainError("root multiplicity undefined for the zero polynomial")
-    if not 0 <= eps < pbar.p:
-        raise DomainError(f"residue {eps} not reduced mod {pbar.p}")
+    p = pbar.p
+    if not 0 <= eps < p:
+        raise DomainError(f"residue {eps} not reduced mod {p}")
     mult = 0
-    current = pbar
+    coeffs = pbar.coeffs[::-1]  # descending, for Horner's rule
     while True:
-        quot, rem = current.divmod_linear(eps)
-        if rem != 0:
+        # synthetic division by X - eps: the partial sums are the quotient,
+        # the last one is the remainder
+        quot = []
+        acc = 0
+        for c in coeffs:
+            acc = (acc * eps + c) % p
+            quot.append(acc)
+        if acc:
             return mult
         mult += 1
-        current = quot
+        coeffs = quot[:-1]
 
 
 def order_t_multiplicity(n: int, p: int, t: int) -> int:

@@ -85,14 +85,6 @@ def divisors(n: int) -> list:
     return sorted(divs)
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def multiplicative_order(a: int, p: int) -> int:
     """Least m >= 1 with a^m = 1 mod p; p prime, a nonzero mod p."""
     check_prime(p)

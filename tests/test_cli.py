@@ -63,6 +63,13 @@ class TestCyclotomic:
         code, _, err = run(capsys, "cyclotomic", "--n", "0")
         assert code == 2
 
+    def test_large_squarefree_index(self, capsys):
+        code, out, _ = run(
+            capsys, "cyclotomic", "--n", "510510", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["degree"] == 92160
+
 
 class TestLemma:
     def test_small_pass(self, capsys):

@@ -1,7 +1,9 @@
 import math
+import time
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona_bounds import cyclotomic
@@ -15,7 +17,13 @@ from cremona_bounds.cyclotomic import (
     verify_lemma_range,
 )
 from cremona_bounds.errors import DomainError, VerificationError
-from cremona_bounds.numth import euler_phi, multiplicative_order, residues_of_order
+from cremona_bounds.numth import (
+    divisors,
+    euler_phi,
+    factorize,
+    multiplicative_order,
+    residues_of_order,
+)
 
 
 class TestIntPoly:
@@ -45,12 +53,37 @@ class TestIntPoly:
         assert not r
 
     def test_exact_division_failure(self):
-        with pytest.raises(ArithmeticError):
-            IntPoly((1, 0, 1)).exact_div_monic(IntPoly((-1, 1)))
+        # X^2 + 1 = (X + 1)(X - 1) + 2
+        q, r = IntPoly((1, 0, 1)).divmod_monic(IntPoly((-1, 1)))
+        assert q == IntPoly((1, 1))
+        assert r == IntPoly((2,))
 
     def test_compose_power(self):
         p = IntPoly((1, 1, 1))
         assert p.compose_power(2) == IntPoly((1, 0, 1, 0, 1))
+
+
+@lru_cache(maxsize=None)
+def _division_reference(n):
+    """Slow reference: Phi_n = (X^n - 1) / prod_{d|n, d<n} Phi_d by exact long
+    division for squarefree n, and Phi_n(X) = Phi_r(X^(n/r)) for r = rad n."""
+    r = math.prod(q for q, _ in factorize(n))
+    if r != n:
+        return _division_reference(r).compose_power(n // r)
+    quot = IntPoly.x_pow_minus_one(n)
+    for d in divisors(n)[:-1]:
+        quot, rem = quot.divmod_monic(_division_reference(d))
+        assert not rem
+    return quot
+
+
+# sympy's expansion time grows with the square of the degree (about 1.5 s at
+# Phi_30030 and 30 s at a prime near 30030), so draws stay at phi(n) <= 2000
+SYMPY_INDICES = [
+    n for n in range(1, 30031)
+    if euler_phi(n) <= 2000 and all(e == 1 for _, e in factorize(n))
+]
+IDENTITY_INDICES = list(range(2, 3001)) + [2**19, 3**12, 999999]
 
 
 class TestCyclotomicPoly:
@@ -95,6 +128,42 @@ class TestCyclotomicPoly:
             ours = cyclotomic_poly(n)
             theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
             assert list(reversed(theirs)) == list(ours.coeffs)
+
+    def test_matches_division_reference(self):
+        for n in range(1, 1201):
+            assert cyclotomic_poly(n) == _division_reference(n), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from(SYMPY_INDICES))
+    @example(n=30030)
+    def test_squarefree_against_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.abc import x
+
+        theirs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()
+        assert list(reversed(theirs)) == list(cyclotomic_poly(n).coeffs)
+
+    def test_palindromic(self):
+        for n in IDENTITY_INDICES:
+            coeffs = cyclotomic_poly(n).coeffs
+            assert coeffs == coeffs[::-1], n
+
+    def test_value_at_one(self):
+        # Phi_n(1) = l for n = l^k, and 1 for n with two or more primes
+        for n in IDENTITY_INDICES:
+            fac = factorize(n)
+            expected = fac[0][0] if len(fac) == 1 else 1
+            assert cyclotomic_poly(n)(1) == expected, n
+
+    def test_large_index(self):
+        # 510510 = 2*3*5*7*11*13*17; uncached, so the sparse product runs
+        start = time.perf_counter()
+        poly = cyclotomic_poly.__wrapped__(510510)
+        elapsed = time.perf_counter() - start
+        assert poly.degree == 92160
+        assert poly.coeffs == poly.coeffs[::-1]
+        assert poly(1) == 1
+        assert elapsed < 10.0
 
 
 class TestReduceMod:
