@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 
 from .errors import DomainError, VerificationError
 from .numth import check_prime, divisors, euler_phi, factorize, residues_of_order
@@ -82,17 +82,17 @@ def _convolve(a, b):
     return _unpack(packed * other, nbytes, count)
 
 
-def _power(x, n, one):
+def _power(x, n, one, product=mul):
     """x**n by square-and-multiply: no product by one, no squaring past n's top bit."""
     if n < 0:
-        raise ValueError("negative polynomial power")
+        raise ValueError("negative power")
     result = None
     while n:
         if n & 1:
-            result = x if result is None else result * x
+            result = x if result is None else product(result, x)
         n >>= 1
         if n:
-            x = x * x
+            x = product(x, x)
     return one if result is None else result
 
 

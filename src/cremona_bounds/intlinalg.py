@@ -1,16 +1,21 @@
 """Exact integer matrix algebra.
 
-Characteristic polynomials (fraction-free Bareiss evaluation plus exact
-interpolation), cyclotomic factorization of monic integer polynomials,
-finite-order detection, Smith normal form, and kernel dimensions mod p.
+Characteristic polynomials (Hessenberg reduction modulo primes below 2^31,
+then CRT, with the number of primes fixed by a Hadamard-type coefficient
+bound; Cohen, GTM 138, Section 2.2), cyclotomic factorization of monic
+integer polynomials, finite-order detection, Smith normal form, and kernel
+dimensions mod p. Matrix products pack each row of the right operand into
+one integer (Kronecker substitution, as for polynomial products).
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import isqrt, lcm
+from operator import matmul, mul
 
-from .cyclotomic import IntPoly, cyclotomic_poly
+from .cyclotomic import IntPoly, _pack, _power, _unpack, cyclotomic_poly
 from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
-from .numth import check_prime, euler_phi
+from .numth import check_prime, euler_phi, is_prime
 
 MAX_DIMENSION = 64
 
@@ -21,7 +26,7 @@ class IntMatrix:
     __slots__ = ("rows", "dimension")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         d = len(rows)
         if d < 1 or any(len(row) != d for row in rows):
             raise DomainError("matrix must be square with dimension >= 1")
@@ -81,24 +86,22 @@ class IntMatrix:
             raise DomainError("dimension mismatch")
 
     def __matmul__(self, other):
+        """Row i of the product is sum_k a_ik * (row k of other), with each
+        row of other packed into one integer whose digits hold the entries."""
         self._check_dim(other)
-        cols = list(zip(*other.rows))
+        d = self.dimension
+        # every entry of the product is a sum of d products; the digits must
+        # hold the entries of other as well, also when self is zero
+        bound = d * max(_max_abs(self.rows), 1) * _max_abs(other.rows)
+        nbytes = bound.bit_length() // 8 + 1
+        packed = [_pack(row, nbytes) for row in other.rows]
         return IntMatrix(
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
+            _unpack(sum(a * b for a, b in zip(row, packed) if a), nbytes, d)
             for row in self.rows
         )
 
     def __pow__(self, n: int) -> "IntMatrix":
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.dimension)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
+        return _power(self, n, IntMatrix.identity(self.dimension), matmul)
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dimension)
@@ -152,6 +155,10 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
 
+def _max_abs(rows) -> int:
+    return max(map(abs, chain.from_iterable(rows)))
+
+
 def companion_matrix(poly: IntPoly) -> IntMatrix:
     """Companion matrix of a monic integer polynomial of degree >= 1."""
     if not poly.is_monic() or poly.degree < 1:
@@ -170,29 +177,104 @@ def _check_cap(m: IntMatrix):
         raise DomainError(f"dimension {m.dimension} exceeds cap {MAX_DIMENSION}")
 
 
+def _crt_primes():
+    """The primes below 2^31, descending: the same list on every call."""
+    q = 2**31 - 1
+    while True:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def _char_poly_mod(rows, p: int) -> list:
+    """Ascending coefficients of det(X*I - M) mod p, for any prime p.
+
+    M is reduced to upper Hessenberg form H by similarities mod p, then
+    det(X*I - H) follows from the recurrence on its leading principal minors
+    (Cohen, GTM 138, Section 2.2, the Hessenberg algorithm).
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        # H <- L H L^-1 with L = I - sum u_i e_i e_m^T: the row operations
+        # clear column m-1 below the subdiagonal, then one column update
+        tail = h[m][m - 1:]
+        inv = pow(tail[0], -1, p)
+        us = []
+        for i in range(m + 1, n):
+            row = h[i]
+            u = row[m - 1] * inv % p
+            us.append(u)
+            if u:
+                row[m - 1:] = [(a - u * b) % p for a, b in zip(row[m - 1:], tail)]
+        if any(us):
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1:]))) % p
+    # minors[k] = det(X*I - H[:k, :k])
+    minors = [[1]]
+    for k in range(1, n + 1):
+        col = k - 1
+        prev = minors[-1]
+        acc = [0] + prev
+        diag = h[col][col]
+        for j, c in enumerate(prev):
+            acc[j] -= diag * c
+        sub = 1
+        for i in range(col - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            c = sub * h[i][col] % p
+            if c:
+                for j, v in enumerate(minors[i]):
+                    acc[j] -= c * v
+        minors.append([c % p for c in acc])
+    return minors[n]
+
+
 def char_poly(m: IntMatrix) -> IntPoly:
-    """Exact det(X*I - M): Bareiss evaluation at d+1 points, then interpolation."""
+    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^31 and CRT.
+
+    Coefficient bound (Cohen, GTM 138, Section 2.2): c_{d-k} is up to sign
+    the sum of the C(d,k) principal k-minors, and by Hadamard's inequality a
+    principal minor is at most the product of its rows' 2-norms. With N_i the
+    rounded-up 2-norm of row i, |c_{d-k}| <= e_k(N_1, ..., N_d), the k-th
+    elementary symmetric function, which is at most C(d,k) * B^k for
+    B = max N_i. Primes are taken until their product exceeds twice the
+    largest e_k, so the symmetric residues are the coefficients. The result
+    is cross-checked by c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss).
+    """
     _check_cap(m)
     d = m.dimension
-    points = list(range(d + 1))
-    values = []
-    for x in points:
-        shifted = IntMatrix(
-            [x - v if i == j else -v for j, v in enumerate(row)]
-            for i, row in enumerate(m.rows)
-        )
-        values.append(shifted.det())
-    # Newton form with exact divided differences; the result is integral
-    coeffs = [Fraction(v) for v in values]
-    for j in range(1, d + 1):
-        for i in range(d, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
-    if any(c.denominator != 1 for c in coeffs):
-        raise VerificationError("non-integral divided difference")
-    acc = IntPoly((int(coeffs[d]),))
-    for i in range(d - 1, -1, -1):
-        acc = acc * IntPoly((-points[i], 1)) + IntPoly((int(coeffs[i]),))
-    return acc
+    elementary = [1]
+    for row in m.rows:
+        s = sum(x * x for x in row)
+        norm = isqrt(s - 1) + 1 if s else 0
+        elementary = [a + norm * b for a, b in zip(elementary + [0], [0] + elementary)]
+    bound = max(elementary)
+    coeffs, modulus = [0] * (d + 1), 1
+    primes = _crt_primes()
+    while modulus <= 2 * bound:
+        p = next(primes)
+        lift = pow(modulus, -1, p)
+        coeffs = [
+            x + modulus * ((r - x) * lift % p)
+            for x, r in zip(coeffs, _char_poly_mod(m.rows, p))
+        ]
+        modulus *= p
+    coeffs = [x - modulus if 2 * x > modulus else x for x in coeffs]
+    if coeffs[d - 1] != -sum(m.rows[i][i] for i in range(d)):
+        raise VerificationError("char poly: coefficient of X^(d-1) is not -trace")
+    if coeffs[0] != (-1) ** d * m.det():
+        raise VerificationError("char poly: constant term is not (-1)^d det")
+    return IntPoly(coeffs)
 
 
 def cyclotomic_factorization(f: IntPoly) -> tuple:
@@ -225,8 +307,9 @@ def cyclotomic_factorization(f: IntPoly) -> tuple:
     return tuple(sorted(indices))
 
 
-def matrix_order(m: IntMatrix) -> int:
-    """Least N >= 1 with M^N = I; raises NotFiniteOrder otherwise."""
+def finite_order_indices(m: IntMatrix) -> tuple:
+    """Cyclotomic factorization of the char poly of M, checked to have
+    M^N = I for N the lcm of the indices; raises NotFiniteOrder otherwise."""
     _check_cap(m)
     try:
         indices = cyclotomic_factorization(char_poly(m))
@@ -238,7 +321,12 @@ def matrix_order(m: IntMatrix) -> int:
     # semisimplicity is not implied by the char poly; verify by powering
     if not (m**n).is_identity():
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
-    return n
+    return indices
+
+
+def matrix_order(m: IntMatrix) -> int:
+    """Least N >= 1 with M^N = I; raises NotFiniteOrder otherwise."""
+    return lcm(*finite_order_indices(m))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple:
@@ -334,6 +422,7 @@ __all__ = [
     "companion_matrix",
     "char_poly",
     "cyclotomic_factorization",
+    "finite_order_indices",
     "matrix_order",
     "smith_normal_form",
     "kernel_dim_mod_p",

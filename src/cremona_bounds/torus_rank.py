@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
 from .errors import DomainError, VerificationError
-from .intlinalg import (
-    IntMatrix,
-    char_poly,
-    companion_matrix,
-    cyclotomic_factorization,
-    kernel_dim_mod_p,
-    matrix_order,
-)
+from .intlinalg import IntMatrix, companion_matrix, finite_order_indices, kernel_dim_mod_p
 from .numth import check_prime, euler_phi, residues_of_order, smallest_residue_of_order
 
 
@@ -31,6 +24,8 @@ class GaloisTorusPresentation:
     dimension: int
     sigma: IntMatrix
     chi_order: int
+    # cyclotomic indices of the char poly of sigma, computed once
+    char_poly_indices: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -39,7 +34,8 @@ class GaloisTorusPresentation:
             raise DomainError("action matrix dimension must match torus dimension")
         if self.chi_order < 1:
             raise DomainError("character order must be >= 1")
-        matrix_order(self.sigma)  # raises NotFiniteOrder if infinite
+        # raises NotFiniteOrder if infinite
+        object.__setattr__(self, "char_poly_indices", finite_order_indices(self.sigma))
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     shifted = pres.sigma - IntMatrix.identity(pres.dimension).scale(eps)
     rank = kernel_dim_mod_p(shifted, p)
     bound = theorem_bound(pres.dimension, pres.chi_order)
-    indices = cyclotomic_factorization(char_poly(pres.sigma))
     if rank > bound:
         raise VerificationError(
             f"eigenspace rank {rank} exceeds bound {bound}: theorem violated"
@@ -90,7 +85,7 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     return RankCertificate(
         upper_bound=bound,
         eigenspace_rank=rank,
-        char_poly_indices=indices,
+        char_poly_indices=pres.char_poly_indices,
         eps_used=eps,
     )
 
@@ -135,11 +130,10 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> ChainRepo
     """
     t = pres.chi_order
     eps = canonical_eps(p, t)
-    indices = cyclotomic_factorization(char_poly(pres.sigma))
     phi_t = euler_phi(t)
     report = ChainReport(p=p, t=t, eps=eps)
     total = 0
-    for d_i in indices:
+    for d_i in pres.char_poly_indices:
         mult = root_multiplicity(reduce_mod(cyclotomic_poly(d_i), p), eps)
         total += mult
         entry = {

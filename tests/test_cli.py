@@ -172,17 +172,19 @@ class TestTorusRank:
         assert out == ""
         assert "verification failure" in err and "exceeds bound" in err
 
-    def test_non_integral_char_poly_exits_3(self, capsys, tmp_path, monkeypatch):
-        # det(x*I - sigma) faked to 0, 1, 1 at x = 0, 1, 2: not a monic integer cubic
-        monkeypatch.setattr(IntMatrix, "det", lambda self: min(self.rows[0][0], 1))
+    def test_char_poly_det_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
+        # char poly of the rotation is X^2 + 1, so c_0 = 1; det faked to 7
+        # makes the c_0 = (-1)^d det M cross-check fail
+        monkeypatch.setattr(IntMatrix, "det", lambda self: 7)
         path = write_json(
             tmp_path,
             "torus.json",
             {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4},
         )
-        code, _, err = run(capsys, "torus-rank", "--file", path, "--p", "5")
+        code, out, err = run(capsys, "torus-rank", "--file", path, "--p", "5")
         assert code == 3
-        assert "non-integral divided difference" in err
+        assert out == ""
+        assert "constant term is not (-1)^d det" in err
 
 
 class TestOracle:

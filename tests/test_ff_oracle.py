@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona_bounds.errors import DomainError
 from cremona_bounds.ff_oracle import (
@@ -102,6 +105,13 @@ class TestGroupOrder:
             for s in rational_points_structure(tor):
                 prod *= s
             assert group_order(tor) == prod
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), d=st.integers(1, 24),
+           q=st.sampled_from((2, 3, 4, 7, 8, 9, 25, 49, 1024, 65537, 2**20)))
+    def test_equals_product_of_invariants_hypothesis(self, seed, d, q):
+        tor = FiniteFieldTorus(q=q, sigma=random_finite_order_matrix(random.Random(seed), d))
+        assert group_order(tor) == math.prod(rational_points_structure(tor))
 
     def test_split_torus_power(self):
         for q in (2, 3, 4, 5):

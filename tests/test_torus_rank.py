@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from cremona_bounds import intlinalg
 from cremona_bounds.cyclotomic import cyclotomic_poly
 from cremona_bounds.errors import DomainError
 from cremona_bounds.intlinalg import IntMatrix, companion_matrix
@@ -193,3 +195,37 @@ class TestBasisInvariance:
                 cert = fixed_point_rank(GaloisTorusPresentation(d, conj, t), p)
                 assert cert.eigenspace_rank == base.eigenspace_rank
                 assert cert.char_poly_indices == base.char_poly_indices
+
+
+class TestFactorOnce:
+    def test_one_char_poly_per_torus(self, monkeypatch):
+        calls = []
+        original = intlinalg.char_poly
+        monkeypatch.setattr(intlinalg, "char_poly",
+                            lambda m: calls.append(m) or original(m))
+        sigma = random_finite_order_matrix(random.Random(41), 12)
+        pres = GaloisTorusPresentation(12, sigma, 4)
+        cert = fixed_point_rank(pres, 5)
+        report = multiplicity_chain_check(pres, 5)
+        assert calls == [sigma]
+        assert cert.char_poly_indices == pres.char_poly_indices
+        assert [f["index"] for f in report.factors] == list(pres.char_poly_indices)
+
+    def test_indices_not_compared(self):
+        sigma = IntMatrix([[0, -1], [1, 0]])
+        assert GaloisTorusPresentation(2, sigma, 4) == GaloisTorusPresentation(2, sigma, 4)
+        with pytest.raises(TypeError):
+            GaloisTorusPresentation(2, sigma, 4, (4,))
+
+    def test_dimension_64_in_interactive_time(self):
+        # the target is 0.5 s; 2 s leaves room for a slow shared machine
+        sigma = random_finite_order_matrix(random.Random(43), 64)
+        start = time.perf_counter()
+        pres = GaloisTorusPresentation(64, sigma, 4)
+        cert = fixed_point_rank(pres, 5)
+        report = multiplicity_chain_check(pres, 5)
+        elapsed = time.perf_counter() - start
+        assert cert.eigenspace_rank <= cert.upper_bound == 32
+        assert report.passed
+        assert sum(euler_phi(i) for i in pres.char_poly_indices) == 64
+        assert elapsed < 2.0
