@@ -7,40 +7,28 @@ did not hold).
 
 import argparse
 import json
-import random
 import sys
 
 from .cremona_table import cremona_rank_bound
 from .cyclotomic import cyclotomic_poly, reduce_mod, verify_lemma_range
 from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
-from .ff_oracle import (
-    FiniteFieldTorus,
-    group_order,
-    p_elementary_rank,
-    rational_points_structure,
-    smallest_field_with_t,
-    t_of_finite_field,
+from .ff_oracle import FiniteFieldTorus
+from .intlinalg import IntMatrix
+from .sweeps import (
+    SWEEP_P,
+    SWEEP_Q,
+    oracle_single_check,
+    run_oracle_sweep,
+    sharpness_case,
+    sharpness_sweep,
 )
-from .intlinalg import IntMatrix, kernel_dim_mod_p
-from .numth import check_prime, euler_phi, is_prime
-from .sampling import random_finite_order_matrix
-from .torus_rank import (
-    GaloisTorusPresentation,
-    fixed_point_rank,
-    multiplicity_chain_check,
-    sharp_construction,
-    theorem_bound,
-)
+from .torus_rank import GaloisTorusPresentation, fixed_point_rank, multiplicity_chain_check
 from .weyl_audit import audit_pgl4
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFICATION = 3
-
-SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
-SWEEP_P = (2, 3, 5, 7, 11, 13)
-SHARP_T = (1, 2, 3, 4, 6)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,26 +38,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(args, command, inputs, results, passed=None, text_lines=()):
-    if args.format == "json":
-        doc = {"command": command, "inputs": inputs, "results": results}
-        if passed is not None:
-            doc["pass"] = passed
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 _SCHEMA_KEYS = {"dimension", "q", "sigma", "chi_order"}
 
 
 def load_input_file(path: str) -> dict:
     """Shared schema for torus inputs: integer dimension/q, sigma as an
     array of integer rows, optional chi_order. Unknown fields are rejected,
-    booleans are not integers, and a given dimension must match sigma."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    booleans are not integers, and a given dimension must match sigma.
+    Bytes that are not UTF-8 JSON, and nesting too deep to parse, are
+    domain errors too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"{path} is not a readable JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("input file must contain a JSON object")
     unknown = set(doc) - _SCHEMA_KEYS
@@ -114,15 +96,16 @@ def load_ff_torus(path: str) -> FiniteFieldTorus:
 
 def _parse_primes(text: str) -> tuple:
     try:
-        primes = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad prime list {text!r}") from exc
-    for p in primes:
-        check_prime(p)
-    return primes
 
 
-def cmd_cyclotomic(args) -> int:
+# Each handler returns (inputs, results, pass or None, text lines); main
+# renders them in the chosen format and maps a failed pass to exit code 3.
+
+
+def cmd_cyclotomic(args):
     poly = cyclotomic_poly(args.n)
     results = {
         "n": args.n,
@@ -136,11 +119,10 @@ def cmd_cyclotomic(args) -> int:
         results["modulus"] = args.p
         results["reduced_coefficients"] = list(reduced.coeffs)
         lines.append(f"mod {args.p}: {reduced}")
-    _emit(args, "cyclotomic", {"n": args.n, "p": args.p}, results, text_lines=lines)
-    return EXIT_OK
+    return {"n": args.n, "p": args.p}, results, None, lines
 
 
-def cmd_lemma(args) -> int:
+def cmd_lemma(args):
     primes = _parse_primes(args.primes)
     report = verify_lemma_range(args.max_n, primes)
     lines = [
@@ -151,28 +133,20 @@ def cmd_lemma(args) -> int:
     ]
     for ce in report.counterexamples:
         lines.append(f"  counterexample: {ce}")
-    _emit(
-        args,
-        "lemma",
-        {"max_n": args.max_n, "primes": list(primes)},
-        report.to_dict(),
-        passed=report.passed,
-        text_lines=lines,
-    )
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    inputs = {"max_n": args.max_n, "primes": list(primes)}
+    return inputs, report.to_dict(), report.passed, lines
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     bound = cremona_rank_bound(args.p, args.t)
     lines = [
         f"p = {bound.p}  t = {bound.t}  rank bound = {bound.rank_bound}",
         f"attained by: {bound.attained_by}",
     ]
-    _emit(args, "bound", {"p": args.p, "t": args.t}, bound.to_dict(), text_lines=lines)
-    return EXIT_OK
+    return {"p": args.p, "t": args.t}, bound.to_dict(), None, lines
 
 
-def cmd_torus_rank(args) -> int:
+def cmd_torus_rank(args):
     pres = load_presentation(args.file)
     cert = fixed_point_rank(pres, args.p)
     chain = multiplicity_chain_check(pres, args.p)
@@ -189,65 +163,10 @@ def cmd_torus_rank(args) -> int:
         f"char poly indices: {list(cert.char_poly_indices)}",
         f"multiplicity chain: {'PASS' if chain.passed else 'FAIL'}",
     ]
-    _emit(
-        args,
-        "torus-rank",
-        {"file": args.file, "p": args.p},
-        results,
-        passed=chain.passed,
-        text_lines=lines,
-    )
-    return EXIT_OK if chain.passed else EXIT_VERIFICATION
+    return {"file": args.file, "p": args.p}, results, chain.passed, lines
 
 
-def oracle_single_check(tor: FiniteFieldTorus, p: int) -> dict:
-    invariants = rational_points_structure(tor)
-    prank = p_elementary_rank(invariants, p)
-    kdim = kernel_dim_mod_p(tor.point_matrix(), p)
-    t = t_of_finite_field(tor.q, p)
-    bound = theorem_bound(tor.dimension, t)
-    return {
-        "q": tor.q,
-        "p": p,
-        "t": t,
-        "invariant_factors": list(invariants),
-        "group_order": group_order(tor),
-        "p_elementary_rank": prank,
-        "kernel_dim": kdim,
-        "rank_bound": bound,
-        "ok": prank == kdim and prank <= bound,
-    }
-
-
-def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6):
-    """Seeded random sweep checking oracle rank == eigenspace dim <= bound."""
-    rng = random.Random(seed)
-    tori = []
-    for _ in range(count):
-        d = rng.randint(1, max_dim)
-        tori.append(random_finite_order_matrix(rng, d))
-    violations = []
-    checks = 0
-    for i, sigma in enumerate(tori):
-        for q in sorted(qs):
-            tor = FiniteFieldTorus(q=q, sigma=sigma)
-            invariants = rational_points_structure(tor)
-            for p in sorted(ps):
-                if q % p == 0:
-                    continue
-                checks += 1
-                prank = p_elementary_rank(invariants, p)
-                kdim = kernel_dim_mod_p(tor.point_matrix(), p)
-                bound = theorem_bound(sigma.dimension, t_of_finite_field(q, p))
-                if prank != kdim or prank > bound:
-                    violations.append(
-                        {"torus": i, "q": q, "p": p, "p_elementary_rank": prank,
-                         "kernel_dim": kdim, "rank_bound": bound}
-                    )
-    return {"tori": count, "checks": checks, "violations": violations}
-
-
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     if args.file:
         if args.p is None:
             raise DomainError("oracle --file requires --p")
@@ -262,17 +181,9 @@ def cmd_oracle(args) -> int:
             f"rank bound:        {result['rank_bound']}",
             "PASS" if result["ok"] else "FAIL",
         ]
-        _emit(
-            args,
-            "oracle",
-            {"file": args.file, "p": args.p},
-            result,
-            passed=result["ok"],
-            text_lines=lines,
-        )
-        return EXIT_OK if result["ok"] else EXIT_VERIFICATION
-    qs = (args.q,) if args.q else SWEEP_Q
-    ps = (args.p,) if args.p else SWEEP_P
+        return {"file": args.file, "p": args.p}, result, result["ok"], lines
+    qs = (args.q,) if args.q is not None else SWEEP_Q
+    ps = (args.p,) if args.p is not None else SWEEP_P
     summary = run_oracle_sweep(args.count, args.seed, qs=qs, ps=ps)
     passed = not summary["violations"]
     lines = [
@@ -282,57 +193,17 @@ def cmd_oracle(args) -> int:
     ]
     for v in summary["violations"]:
         lines.append(f"  violation: {v}")
-    _emit(
-        args,
-        "oracle",
-        {"count": args.count, "seed": args.seed, "q": args.q, "p": args.p},
-        summary,
-        passed=passed,
-        text_lines=lines,
-    )
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    inputs = {"count": args.count, "seed": args.seed, "q": args.q, "p": args.p}
+    return inputs, summary, passed, lines
 
 
-def smallest_prime_with_order_divisor(t: int) -> int:
-    """Smallest prime p with t dividing p - 1."""
-    p = 2
-    while True:
-        if is_prime(p) and (p - 1) % t == 0:
-            return p
-        p += 1
-
-
-def sharpness_case(d: int, t: int) -> dict:
-    pres = sharp_construction(d, t)
-    p = smallest_prime_with_order_divisor(t)
-    cert = fixed_point_rank(pres, p)
-    q = smallest_field_with_t(p, t)
-    tor = FiniteFieldTorus(q=q, sigma=pres.sigma)
-    oracle_rank = p_elementary_rank(rational_points_structure(tor), p)
-    bound = theorem_bound(d, t)
-    return {
-        "d": d,
-        "t": t,
-        "p": p,
-        "q": q,
-        "rank_bound": bound,
-        "eigenspace_rank": cert.eigenspace_rank,
-        "oracle_rank": oracle_rank,
-        "attained": cert.eigenspace_rank == bound and oracle_rank == bound,
-    }
-
-
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args):
     if (args.d is None) != (args.t is None):
         raise DomainError("sharpness needs both --d and --t, or neither for a sweep")
     if args.d is not None:
         cases = [sharpness_case(args.d, args.t)]
     else:
-        cases = [
-            sharpness_case(d, t)
-            for t in SHARP_T
-            for d in range(euler_phi(t), 7)
-        ]
+        cases = sharpness_sweep()
     passed = all(c["attained"] for c in cases)
     lines = [f"{'d':>2} {'t':>2} {'p':>3} {'q':>3} {'bound':>5} {'rank':>4} {'oracle':>6}"]
     for c in cases:
@@ -342,18 +213,10 @@ def cmd_sharpness(args) -> int:
             + ("" if c["attained"] else "  GAP")
         )
     lines.append("PASS" if passed else "FAIL")
-    _emit(
-        args,
-        "sharpness",
-        {"d": args.d, "t": args.t},
-        {"cases": cases},
-        passed=passed,
-        text_lines=lines,
-    )
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return {"d": args.d, "t": args.t}, {"cases": cases}, passed, lines
 
 
-def cmd_weyl_audit(args) -> int:
+def cmd_weyl_audit(args):
     report = audit_pgl4(args.p)
     lines = [
         f"Weyl group of PGL4: {len(report.elements)} elements, p = {report.p}",
@@ -361,15 +224,7 @@ def cmd_weyl_audit(args) -> int:
         f"violations: {len(report.violations)}",
         "PASS" if report.passed else "FAIL",
     ]
-    _emit(
-        args,
-        "weyl-audit",
-        {"p": args.p},
-        report.to_dict(),
-        passed=report.passed,
-        text_lines=lines,
-    )
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    return {"p": args.p}, report.to_dict(), report.passed, lines
 
 
 def build_parser() -> _Parser:
@@ -424,16 +279,25 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs, results, passed, lines = args.func(args)
     except (DomainError, NotCyclotomicProduct, NotFiniteOrder) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    if args.format == "json":
+        doc = {"command": args.subcommand, "inputs": inputs, "results": results}
+        if passed is not None:
+            doc["pass"] = passed
+        print(json.dumps(doc, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_VERIFICATION if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -121,14 +121,3 @@ def t_for_field(k, p: int) -> int:
         return 1
     raise DomainError(f"unsupported field descriptor: {k!r}")
 
-
-__all__ = [
-    "FiniteField",
-    "Rationals",
-    "CyclotomicExtension",
-    "AlgebraicallyClosed",
-    "CremonaBound",
-    "cremona_rank_bound",
-    "t_for_field",
-    "attaining_example",
-]

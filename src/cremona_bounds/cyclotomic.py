@@ -9,12 +9,11 @@ whole package it uses only the standard library. Cyclotomic indices up to
 
 import math
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, sub
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, Report, VerificationError
 from .numth import check_prime, divisors, euler_phi, factorize, residues_of_order
 
 MAX_CYCLOTOMIC_INDEX = 10**6
@@ -340,29 +339,6 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     return scale * next(iter(mults.values()))
 
 
-@dataclass
-class LemmaReport:
-    """Result of the exhaustive multiplicity/positivity/power-identity sweep."""
-
-    n_max: int
-    primes: tuple
-    checks_run: int = 0
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "primes": list(self.primes),
-            "checks_run": self.checks_run,
-            "counterexamples": self.counterexamples,
-            "passed": self.passed,
-        }
-
-
 def _is_t_times_p_power(n: int, t: int, p: int) -> bool:
     if n % t != 0:
         return False
@@ -372,7 +348,7 @@ def _is_t_times_p_power(n: int, t: int, p: int) -> bool:
     return rest == 1
 
 
-def verify_lemma_range(n_max: int, primes) -> LemmaReport:
+def verify_lemma_range(n_max: int, primes) -> Report:
     """Sweep all n <= n_max, p in primes, t | p - 1 and check three facts:
 
     (a) every order-t residue has the same multiplicity as a root of Phi_n mod p;
@@ -385,7 +361,8 @@ def verify_lemma_range(n_max: int, primes) -> LemmaReport:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     primes = tuple(sorted({check_prime(p) for p in primes}))
-    report = LemmaReport(n_max=n_max, primes=primes)
+    report = Report(n_max=n_max, primes=list(primes), checks_run=0,
+                    counterexamples=[])
     for p in primes:
         for n in range(1, n_max + 1):
             pbar = reduce_mod(cyclotomic_poly(n), p)
@@ -424,15 +401,3 @@ def verify_lemma_range(n_max: int, primes) -> LemmaReport:
                         )
     return report
 
-
-__all__ = [
-    "IntPoly",
-    "ModPoly",
-    "LemmaReport",
-    "cyclotomic_poly",
-    "reduce_mod",
-    "root_multiplicity",
-    "order_t_multiplicity",
-    "verify_lemma_range",
-    "MAX_CYCLOTOMIC_INDEX",
-]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the checker report, shared across the package."""
+
+from types import SimpleNamespace
 
 
 class DomainError(ValueError):
@@ -15,3 +17,15 @@ class NotFiniteOrder(Exception):
 
 class VerificationError(AssertionError):
     """A checked invariant did not hold: a bug, or a counterexample."""
+
+
+class Report(SimpleNamespace):
+    """Result of a checker. The attributes are its JSON keys, in order; the
+    last one lists the failures, and the check passed when it is empty."""
+
+    @property
+    def passed(self) -> bool:
+        return not list(vars(self).values())[-1]
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "passed": self.passed}

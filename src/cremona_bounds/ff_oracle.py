@@ -12,6 +12,7 @@ oracle/eigenspace equivalence sweep in the test suite pins this choice.
 
 from dataclasses import dataclass
 
+from .cremona_table import FiniteField, t_for_field
 from .errors import DomainError, VerificationError
 from .intlinalg import IntMatrix, matrix_order, smith_normal_form
 from .numth import check_prime, multiplicative_order, prime_power_decomposition
@@ -25,14 +26,8 @@ class FiniteFieldTorus:
     sigma: IntMatrix
 
     def __post_init__(self):
-        decomp = prime_power_decomposition(self.q)
-        if decomp is None or self.q > MAX_FIELD_SIZE:
-            raise DomainError(f"q = {self.q} is not a prime power in [2, 2^20]")
+        check_field_size(self.q)
         matrix_order(self.sigma)  # raises NotFiniteOrder if infinite
-
-    @property
-    def characteristic(self) -> int:
-        return prime_power_decomposition(self.q)[0]
 
     @property
     def dimension(self) -> int:
@@ -40,6 +35,13 @@ class FiniteFieldTorus:
 
     def point_matrix(self) -> IntMatrix:
         return self.sigma.scale(self.q) - IntMatrix.identity(self.dimension)
+
+
+def check_field_size(q: int) -> int:
+    """Validate a field size: a prime power q in [2, 2^20]."""
+    if q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
+        raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
+    return q
 
 
 def rational_points_structure(tor: FiniteFieldTorus) -> tuple:
@@ -60,12 +62,7 @@ def p_elementary_rank(invariants, p: int) -> int:
 
 def t_of_finite_field(q: int, p: int) -> int:
     """Degree of F_q with a primitive p-th root of unity adjoined: ord of q mod p."""
-    check_prime(p)
-    if prime_power_decomposition(q) is None:
-        raise DomainError(f"q = {q} is not a prime power")
-    if q % p == 0:
-        raise DomainError(f"p = {p} is the characteristic of F_{q}")
-    return multiplicative_order(q, p)
+    return t_for_field(FiniteField(q), p)
 
 
 def group_order(tor: FiniteFieldTorus) -> int:
@@ -85,13 +82,3 @@ def smallest_field_with_t(p: int, t: int) -> int:
             return q
     raise VerificationError(f"no admissible field for p={p}, t={t}")  # unreachable
 
-
-__all__ = [
-    "FiniteFieldTorus",
-    "MAX_FIELD_SIZE",
-    "rational_points_structure",
-    "p_elementary_rank",
-    "t_of_finite_field",
-    "group_order",
-    "smallest_field_with_t",
-]

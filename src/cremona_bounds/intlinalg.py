@@ -8,7 +8,6 @@ dimensions mod p. Matrix products pack each row of the right operand into
 one integer (Kronecker substitution, as for polynomial products).
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
 from operator import matmul, mul
@@ -23,7 +22,8 @@ MAX_DIMENSION = 64
 class IntMatrix:
     """Immutable square matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("rows", "dimension")
+    # _indices: cyclotomic indices of the char poly, set by finite_order_indices
+    __slots__ = ("rows", "dimension", "_indices")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -75,9 +75,6 @@ class IntMatrix:
             [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
         )
 
-    def __neg__(self):
-        return IntMatrix([-x for x in row] for row in self.rows)
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([c * x for x in row] for row in self.rows)
 
@@ -127,29 +124,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[d - 1][d - 1]
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with det = +-1; exact, entries stay integral."""
-        d = self.dimension
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-            for i, row in enumerate(self.rows)
-        ]
-        for k in range(d):
-            piv = next((i for i in range(k, d) if aug[i][k] != 0), None)
-            if piv is None:
-                raise DomainError("matrix is singular")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            inv = 1 / aug[k][k]
-            aug[k] = [x * inv for x in aug[k]]
-            for i in range(d):
-                if i != k and aug[i][k] != 0:
-                    c = aug[i][k]
-                    aug[i] = [x - c * y for x, y in zip(aug[i], aug[k])]
-        out = [[x for x in row[d:]] for row in aug]
-        if any(x.denominator != 1 for row in out for x in row):
-            raise DomainError("matrix is not unimodular")
-        return IntMatrix([[int(x) for x in row] for row in out])
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
@@ -309,8 +283,14 @@ def cyclotomic_factorization(f: IntPoly) -> tuple:
 
 def finite_order_indices(m: IntMatrix) -> tuple:
     """Cyclotomic factorization of the char poly of M, checked to have
-    M^N = I for N the lcm of the indices; raises NotFiniteOrder otherwise."""
-    _check_cap(m)
+    M^N = I for N the lcm of the indices; raises NotFiniteOrder otherwise.
+
+    M is immutable, so the indices are kept on it and each matrix is
+    checked once, however many tori share it.
+    """
+    indices = getattr(m, "_indices", None)
+    if indices is not None:
+        return indices
     try:
         indices = cyclotomic_factorization(char_poly(m))
     except NotCyclotomicProduct as exc:
@@ -321,6 +301,7 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     # semisimplicity is not implied by the char poly; verify by powering
     if not (m**n).is_identity():
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
+    object.__setattr__(m, "_indices", indices)
     return indices
 
 
@@ -415,15 +396,3 @@ def kernel_dim_mod_p(m: IntMatrix, p: int) -> int:
         rank += 1
     return d - rank
 
-
-__all__ = [
-    "IntMatrix",
-    "MAX_DIMENSION",
-    "companion_matrix",
-    "char_poly",
-    "cyclotomic_factorization",
-    "finite_order_indices",
-    "matrix_order",
-    "smith_normal_form",
-    "kernel_dim_mod_p",
-]

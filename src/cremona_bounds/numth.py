@@ -119,10 +119,6 @@ def residues_of_order(p: int, t: int) -> list:
     return sorted(pow(base, k, p) for k in range(1, t + 1) if math.gcd(k, t) == 1)
 
 
-def smallest_residue_of_order(p: int, t: int) -> int:
-    return residues_of_order(p, t)[0]
-
-
 def prime_power_decomposition(q: int):
     """Return (ell, m) with q = ell^m, ell prime, or None if q is not a prime power."""
     if q < 2:

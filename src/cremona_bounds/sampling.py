@@ -16,15 +16,19 @@ from .numth import euler_phi
 _BLOCK_INDICES = [m for m in range(1, 13)]
 
 
-def random_unimodular(rng: random.Random, d: int, ops: int | None = None) -> IntMatrix:
-    """Product of random elementary shear/swap/negation matrices (det = +-1).
+def random_unimodular(rng: random.Random, d: int, ops: int | None = None) -> tuple:
+    """(U, U^-1) for U a product of random elementary shear/swap/negation
+    matrices (det = +-1).
 
     Shear coefficients are drawn from [-2, 2]; product entries can grow
-    slightly beyond that range.
+    slightly beyond that range. Each row operation on U is undone by the
+    inverse column operation on U^-1, so U^-1 costs no further draws.
     """
     if ops is None:
         ops = 3 * d
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    # the columns of U^-1, so that its column operations act on lists
+    cols = [list(row) for row in rows]
     for _ in range(ops):
         kind = rng.randrange(3)
         i = rng.randrange(d)
@@ -32,11 +36,14 @@ def random_unimodular(rng: random.Random, d: int, ops: int | None = None) -> Int
         if kind == 0 and i != j:
             c = rng.choice([-2, -1, 1, 2])
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            cols[j] = [a - c * b for a, b in zip(cols[j], cols[i])]
         elif kind == 1 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         elif kind == 2:
             rows[i] = [-a for a in rows[i]]
-    return IntMatrix(rows)
+            cols[i] = [-a for a in cols[i]]
+    return IntMatrix(rows), IntMatrix(zip(*cols))
 
 
 def _signed_permutation_block(rng: random.Random, s: int) -> IntMatrix:
@@ -63,8 +70,6 @@ def random_finite_order_matrix(rng: random.Random, d: int) -> IntMatrix:
             blocks.append(_signed_permutation_block(rng, s))
             remaining -= s
     base = IntMatrix.block_diagonal(blocks)
-    u = random_unimodular(rng, d)
-    return u @ base @ u.inverse_unimodular()
+    u, u_inv = random_unimodular(rng, d)
+    return u @ base @ u_inv
 
-
-__all__ = ["random_unimodular", "random_finite_order_matrix"]

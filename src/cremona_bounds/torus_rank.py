@@ -11,12 +11,12 @@ this is exact (Frobenius topologically generates), over other fields it gives
 an upper bound only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
-from .errors import DomainError, VerificationError
+from .errors import DomainError, Report, VerificationError
 from .intlinalg import IntMatrix, companion_matrix, finite_order_indices, kernel_dim_mod_p
-from .numth import check_prime, euler_phi, residues_of_order, smallest_residue_of_order
+from .numth import euler_phi, residues_of_order
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,6 @@ class GaloisTorusPresentation:
     dimension: int
     sigma: IntMatrix
     chi_order: int
-    # cyclotomic indices of the char poly of sigma, computed once
-    char_poly_indices: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -34,8 +32,12 @@ class GaloisTorusPresentation:
             raise DomainError("action matrix dimension must match torus dimension")
         if self.chi_order < 1:
             raise DomainError("character order must be >= 1")
-        # raises NotFiniteOrder if infinite
-        object.__setattr__(self, "char_poly_indices", finite_order_indices(self.sigma))
+        finite_order_indices(self.sigma)  # raises NotFiniteOrder if infinite
+
+    @property
+    def char_poly_indices(self) -> tuple:
+        """Cyclotomic indices of the char poly of sigma, computed once."""
+        return finite_order_indices(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,9 @@ def theorem_bound(d: int, t: int) -> int:
 
 
 def canonical_eps(p: int, t: int) -> int:
-    """Inverse mod p of the smallest positive residue of order t."""
-    check_prime(p)
-    if (p - 1) % t != 0:
-        raise DomainError(
-            f"no Galois element realizes character order {t} at p = {p}"
-        )
-    a = smallest_residue_of_order(p, t)
+    """Inverse mod p of the smallest positive residue of order t; DomainError
+    unless p is prime and t divides p - 1 (no Galois element realizes t)."""
+    a = residues_of_order(p, t)[0]
     return pow(a, -1, p)
 
 
@@ -90,38 +88,7 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     )
 
 
-@dataclass
-class ChainReport:
-    """Per-factor multiplicity bounds for the char poly of the torus action."""
-
-    p: int
-    t: int
-    eps: int
-    factors: list = field(default_factory=list)
-    total_multiplicity: int = 0
-    total_bound: int = 0
-    per_eps: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "t": self.t,
-            "eps": self.eps,
-            "factors": self.factors,
-            "total_multiplicity": self.total_multiplicity,
-            "total_bound": self.total_bound,
-            "per_eps_eigenspace_rank": self.per_eps,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
-
-
-def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> ChainReport:
+def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     """Check mult_eps(Phi_{d_i} mod p) <= phi(d_i)/phi(t) factor by factor.
 
     Also records the eigenspace rank at every order-t residue: when p divides
@@ -131,35 +98,34 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> ChainRepo
     t = pres.chi_order
     eps = canonical_eps(p, t)
     phi_t = euler_phi(t)
-    report = ChainReport(p=p, t=t, eps=eps)
+    factors, violations = [], []
     total = 0
     for d_i in pres.char_poly_indices:
         mult = root_multiplicity(reduce_mod(cyclotomic_poly(d_i), p), eps)
         total += mult
-        entry = {
+        factors.append({
             "index": d_i,
             "phi": euler_phi(d_i),
             "multiplicity": mult,
             "bound_numerator": euler_phi(d_i),
             "bound_denominator": phi_t,
-        }
-        report.factors.append(entry)
+        })
         if mult * phi_t > euler_phi(d_i):
-            report.violations.append(
+            violations.append(
                 {"index": d_i, "multiplicity": mult, "phi": euler_phi(d_i),
                  "phi_t": phi_t}
             )
-    report.total_multiplicity = total
-    report.total_bound = theorem_bound(pres.dimension, t)
-    if total > report.total_bound:
-        report.violations.append(
-            {"total_multiplicity": total, "total_bound": report.total_bound}
-        )
+    total_bound = theorem_bound(pres.dimension, t)
+    if total > total_bound:
+        violations.append({"total_multiplicity": total, "total_bound": total_bound})
+    per_eps = {}
     for residue in residues_of_order(p, t):
         e = pow(residue, -1, p)
         shifted = pres.sigma - IntMatrix.identity(pres.dimension).scale(e)
-        report.per_eps[e] = kernel_dim_mod_p(shifted, p)
-    return report
+        per_eps[e] = kernel_dim_mod_p(shifted, p)
+    return Report(p=p, t=t, eps=eps, factors=factors, total_multiplicity=total,
+                  total_bound=total_bound, per_eps_eigenspace_rank=per_eps,
+                  violations=violations)
 
 
 def sharp_construction(d: int, t: int) -> GaloisTorusPresentation:
@@ -181,14 +147,3 @@ def sharp_construction(d: int, t: int) -> GaloisTorusPresentation:
         dimension=d, sigma=IntMatrix.block_diagonal(blocks), chi_order=t
     )
 
-
-__all__ = [
-    "GaloisTorusPresentation",
-    "RankCertificate",
-    "ChainReport",
-    "theorem_bound",
-    "canonical_eps",
-    "fixed_point_rank",
-    "multiplicity_chain_check",
-    "sharp_construction",
-]

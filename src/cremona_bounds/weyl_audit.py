@@ -5,25 +5,21 @@ Lattice model: Z^4 / Z*(1,1,1,1), basis = images of e0, e1, e2; the image of
 e3 is -(e0+e1+e2). Coordinate permutations descend to 3x3 integer matrices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .cyclotomic import IntPoly, reduce_mod, root_multiplicity
+from .errors import Report
 from .intlinalg import IntMatrix, char_poly, cyclotomic_factorization
 from .numth import check_prime
 
 ALLOWED_INDICES = {1, 2, 3, 4}
-# invariant degrees of the rank-3 symmetric-group reflection representation
-INVARIANT_DEGREES = (2, 3, 4)
 
 
 @dataclass(frozen=True)
 class WeylElement:
     permutation: tuple
     matrix: IntMatrix
-
-    def __str__(self):
-        return f"perm {self.permutation}"
 
 
 def _quotient_matrix(perm) -> IntMatrix:
@@ -47,35 +43,14 @@ def enumerate_weyl() -> list:
     ]
 
 
-@dataclass
-class WeylAuditReport:
-    p: int
-    elements: list = field(default_factory=list)
-    max_minus_one_multiplicity: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "element_count": len(self.elements),
-            "elements": self.elements,
-            "max_minus_one_multiplicity": self.max_minus_one_multiplicity,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
-
-
-def audit_pgl4(p: int = 3) -> WeylAuditReport:
+def audit_pgl4(p: int = 3) -> Report:
     """Verify, over all 24 elements: factorization indices lie in {1,2,3,4},
     no element acts as -I, no characteristic polynomial equals (X+1)^3, and
     the multiplicity of -1 mod p as a root of the reduced characteristic
     polynomial never exceeds 2."""
     check_prime(p)
-    report = WeylAuditReport(p=p)
+    elements, violations = [], []
+    max_mult = 0
     minus_identity = IntMatrix.identity(3).scale(-1)
     x_plus_1_cubed = IntPoly((1, 1)) ** 3
     minus_one = p - 1
@@ -89,26 +64,16 @@ def audit_pgl4(p: int = 3) -> WeylAuditReport:
             "indices": list(indices),
             "minus_one_multiplicity": mult,
         }
-        report.elements.append(row)
-        report.max_minus_one_multiplicity = max(
-            report.max_minus_one_multiplicity, mult
-        )
+        elements.append(row)
+        max_mult = max(max_mult, mult)
         if not set(indices) <= ALLOWED_INDICES:
-            report.violations.append({**row, "fact": "index_outside_{1,2,3,4}"})
+            violations.append({**row, "fact": "index_outside_{1,2,3,4}"})
         if elem.matrix == minus_identity:
-            report.violations.append({**row, "fact": "minus_identity_present"})
+            violations.append({**row, "fact": "minus_identity_present"})
         if f == x_plus_1_cubed:
-            report.violations.append({**row, "fact": "char_poly_(X+1)^3"})
+            violations.append({**row, "fact": "char_poly_(X+1)^3"})
         if mult > 2:
-            report.violations.append({**row, "fact": "minus_one_multiplicity>2"})
-    return report
+            violations.append({**row, "fact": "minus_one_multiplicity>2"})
+    return Report(p=p, element_count=len(elements), elements=elements,
+                  max_minus_one_multiplicity=max_mult, violations=violations)
 
-
-__all__ = [
-    "WeylElement",
-    "WeylAuditReport",
-    "enumerate_weyl",
-    "audit_pgl4",
-    "ALLOWED_INDICES",
-    "INVARIANT_DEGREES",
-]

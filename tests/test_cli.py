@@ -140,6 +140,22 @@ class TestTorusRank:
         code, _, err = run(capsys, "torus-rank", "--file", "/nope.json", "--p", "3")
         assert code == 2
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "torus-rank", "--file", str(path), "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
+
+    def test_too_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "torus-rank", "--file", str(path), "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
+
     def test_non_integer_sigma(self, capsys, tmp_path):
         path = write_json(
             tmp_path,
@@ -225,6 +241,15 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--count", "5", "--seed", "3")
         assert code == 0
         assert "violations: 0" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["--p", "0"], ["--q", "0"], ["--count", "-3"]]
+    )
+    def test_bad_sweep_argument_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", *argv, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
 
     def test_sweep_deterministic(self, capsys):
         _, out1, _ = run(

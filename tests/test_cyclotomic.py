@@ -326,6 +326,11 @@ class TestVerifyLemmaRange:
         assert all(m == 1 for m in nonzero.values())
         assert all(multiplicative_order(eps, 13) == 12 for eps in nonzero)
 
+    def test_report_key_order(self):
+        assert list(verify_lemma_range(3, {2, 3}).to_dict()) == [
+            "n_max", "primes", "checks_run", "counterexamples", "passed",
+        ]
+
     def test_bad_args(self):
         with pytest.raises(DomainError):
             verify_lemma_range(0, {2})

@@ -34,9 +34,6 @@ class TestFiniteFieldTorus:
         with pytest.raises(NotFiniteOrder):
             FiniteFieldTorus(q=2, sigma=IntMatrix([[1, 1], [0, 1]]))
 
-    def test_characteristic(self):
-        assert FiniteFieldTorus(q=9, sigma=IntMatrix([[1]])).characteristic == 3
-
 
 class TestRationalPointsStructure:
     def test_split_torus_over_f4(self):

@@ -144,8 +144,15 @@ class TestMultiplicityChain:
             2, companion_matrix(cyclotomic_poly(4)), 4
         )
         report = multiplicity_chain_check(pres, 5)
-        assert set(report.per_eps) == {2, 3}
-        assert all(v == 1 for v in report.per_eps.values())
+        assert set(report.per_eps_eigenspace_rank) == {2, 3}
+        assert all(v == 1 for v in report.per_eps_eigenspace_rank.values())
+
+    def test_report_key_order(self):
+        pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
+        assert list(multiplicity_chain_check(pres, 3).to_dict()) == [
+            "p", "t", "eps", "factors", "total_multiplicity", "total_bound",
+            "per_eps_eigenspace_rank", "violations", "passed",
+        ]
 
 
 class TestSharpConstruction:
@@ -190,8 +197,8 @@ class TestBasisInvariance:
             p = smallest_primes_with(t, 1)[0]
             base = fixed_point_rank(GaloisTorusPresentation(d, sigma, t), p)
             for _ in range(10):
-                u = random_unimodular(rng, d)
-                conj = u @ sigma @ u.inverse_unimodular()
+                u, u_inv = random_unimodular(rng, d)
+                conj = u @ sigma @ u_inv
                 cert = fixed_point_rank(GaloisTorusPresentation(d, conj, t), p)
                 assert cert.eigenspace_rank == base.eigenspace_rank
                 assert cert.char_poly_indices == base.char_poly_indices

@@ -1,12 +1,12 @@
 from itertools import permutations
 
+from cremona_bounds import weyl_audit
 from cremona_bounds.cyclotomic import IntPoly
 from cremona_bounds.intlinalg import IntMatrix, char_poly, cyclotomic_factorization
-from cremona_bounds.weyl_audit import (
-    INVARIANT_DEGREES,
-    audit_pgl4,
-    enumerate_weyl,
-)
+from cremona_bounds.weyl_audit import audit_pgl4, enumerate_weyl
+
+# invariant degrees of the rank-3 symmetric-group reflection representation
+INVARIANT_DEGREES = (2, 3, 4)
 
 
 def by_perm():
@@ -90,6 +90,18 @@ class TestAuditPGL4:
     def test_no_cubed_linear_char_poly(self):
         bad = IntPoly((1, 1)) ** 3
         assert all(char_poly(e.matrix) != bad for e in enumerate_weyl())
+
+    def test_report_key_order(self):
+        assert list(audit_pgl4().to_dict()) == [
+            "p", "element_count", "elements", "max_minus_one_multiplicity",
+            "violations", "passed",
+        ]
+
+    def test_violation_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(weyl_audit, "ALLOWED_INDICES", {1, 2, 3})
+        report = audit_pgl4()
+        assert report.violations and not report.passed
+        assert report.to_dict()["passed"] is False
 
     def test_other_prime_accepted(self):
         report = audit_pgl4(5)
