@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success / verification passed, 1 usage error, 2 domain error
-(invalid mathematical input), 3 verification failure (a checked invariant
-did not hold).
+(DomainError or a subclass: invalid mathematical input, or an unreadable
+file), 3 verification failure (a checked invariant did not hold).
 """
 
 import argparse
@@ -11,7 +11,7 @@ import sys
 
 from .cremona_table import cremona_rank_bound
 from .cyclotomic import cyclotomic_poly, reduce_mod, verify_lemma_range
-from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
+from .errors import DomainError, VerificationError
 from .ff_oracle import FiniteFieldTorus
 from .intlinalg import IntMatrix
 from .sweeps import (
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         inputs, results, passed, lines = args.func(args)
-    except (DomainError, NotCyclotomicProduct, NotFiniteOrder) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -1,15 +1,17 @@
 """The piecewise rank bound for p-elementary subgroups of the plane Cremona
 group as a function of (p, t), with field descriptors that compute t."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lcm
 
 from .errors import DomainError
 from .numth import (
+    check_order_divides,
     check_prime,
     euler_phi,
     multiplicative_order,
     prime_power_decomposition,
+    theorem_bound,
 )
 
 
@@ -59,51 +61,39 @@ class CremonaBound:
     attained_by: str
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "t": self.t,
-            "rank_bound": self.rank_bound,
-            "attained_by": self.attained_by,
-        }
+        return asdict(self)
 
 
-def _check_pair(p: int, t: int):
-    check_prime(p)
-    if t < 1 or (p - 1) % t != 0:
-        raise DomainError(
-            f"t = {t} does not divide p - 1 = {p - 1}: no perfect field realizes this pair"
-        )
+# Example of each rank a 2-dimensional torus attains, theorem_bound(2, t).
+_TORUS_EXAMPLES = {
+    2: "rank-2 torus witness",
+    1: "rank-1 torus witness, t in {3, 4, 6}",
+    0: "none (rank bound 0)",
+}
+
+
+def _table_row(p: int, t: int) -> tuple:
+    """(rank bound, attaining example): P1 x P1 for p = 2, the Fermat cubic
+    for (3, 1), else the bound floor(2 / phi(t)) of a 2-dimensional torus."""
+    check_order_divides(p, t)
+    if p == 2:
+        return 4, "(Z/2)^4 acting on P1 x P1"
+    if p == 3 and t == 1:
+        return 3, "Fermat cubic surface, rank 3"
+    rank = theorem_bound(2, t)
+    return rank, _TORUS_EXAMPLES[rank]
 
 
 def attaining_example(p: int, t: int) -> str:
     """Fixed descriptive identifier of the construction attaining the bound."""
-    _check_pair(p, t)
-    if p == 2:
-        return "(Z/2)^4 acting on P1 x P1"
-    if p == 3 and t == 1:
-        return "Fermat cubic surface, rank 3"
-    if t in (1, 2):
-        return "rank-2 torus witness"
-    if t in (3, 4, 6):
-        return "rank-1 torus witness, t in {3, 4, 6}"
-    return "none (rank bound 0)"
+    return _table_row(p, t)[1]
 
 
 def cremona_rank_bound(p: int, t: int) -> CremonaBound:
     """Maximal rank of a p-elementary subgroup of the plane Cremona group
     over a perfect field with p-th roots of unity of degree t."""
-    _check_pair(p, t)
-    if p == 2:
-        rank = 4
-    elif p == 3 and t == 1:
-        rank = 3
-    elif t in (1, 2):
-        rank = 2
-    elif t in (3, 4, 6):
-        rank = 1
-    else:
-        rank = 0
-    return CremonaBound(p=p, t=t, rank_bound=rank, attained_by=attaining_example(p, t))
+    rank, example = _table_row(p, t)
+    return CremonaBound(p=p, t=t, rank_bound=rank, attained_by=example)
 
 
 def t_for_field(k, p: int) -> int:

@@ -321,22 +321,19 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     the residue sweep then runs on the p-free part. Fails loudly if the
     order-t residues disagree.
     """
-    check_prime(p)
-    if t < 1 or (p - 1) % t != 0:
-        raise DomainError(f"t = {t} does not divide p - 1 = {p - 1}")
+    residues = residues_of_order(p, t)  # validates (p, t) before any work on n
     f = 0
     n0 = n  # validated by cyclotomic_poly below
-    while n0 % p == 0:
+    while n0 and n0 % p == 0:
         n0 //= p
         f += 1
     pbar = reduce_mod(cyclotomic_poly(n0), p)
-    mults = {eps: root_multiplicity(pbar, eps) for eps in residues_of_order(p, t)}
+    mults = {eps: root_multiplicity(pbar, eps) for eps in residues}
     if len(set(mults.values())) != 1:
         raise VerificationError(
             f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
         )
-    scale = euler_phi(p**f) if f else 1
-    return scale * next(iter(mults.values()))
+    return euler_phi(p**f) * next(iter(mults.values()))
 
 
 def _is_t_times_p_power(n: int, t: int, p: int) -> bool:

@@ -7,11 +7,11 @@ class DomainError(ValueError):
     """Input is outside the mathematical domain of an operation."""
 
 
-class NotCyclotomicProduct(Exception):
+class NotCyclotomicProduct(DomainError):
     """A monic integer polynomial is not a product of cyclotomic polynomials."""
 
 
-class NotFiniteOrder(Exception):
+class NotFiniteOrder(DomainError):
     """An integer matrix has no finite multiplicative order."""
 
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from .cremona_table import FiniteField, t_for_field
 from .errors import DomainError, VerificationError
 from .intlinalg import IntMatrix, matrix_order, smith_normal_form
-from .numth import check_prime, multiplicative_order, prime_power_decomposition
+from .numth import (
+    check_order_divides,
+    check_prime,
+    multiplicative_order,
+    prime_power_decomposition,
+)
 
 MAX_FIELD_SIZE = 2**20
 
@@ -39,7 +44,7 @@ class FiniteFieldTorus:
 
 def check_field_size(q: int) -> int:
     """Validate a field size: a prime power q in [2, 2^20]."""
-    if q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
+    if prime_power_decomposition(q) is None or q > MAX_FIELD_SIZE:
         raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
     return q
 
@@ -72,9 +77,7 @@ def group_order(tor: FiniteFieldTorus) -> int:
 
 def smallest_field_with_t(p: int, t: int) -> int:
     """Smallest prime power q with p not dividing q and ord of q mod p equal t."""
-    check_prime(p)
-    if t < 1 or (p - 1) % t != 0:
-        raise DomainError(f"t = {t} does not divide p - 1 = {p - 1}")
+    check_order_divides(p, t)
     for q in range(2, MAX_FIELD_SIZE + 1):
         if q % p == 0 or prime_power_decomposition(q) is None:
             continue

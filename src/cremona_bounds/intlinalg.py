@@ -59,16 +59,6 @@ class IntMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other):
-        self._check_dim(other)
-        return IntMatrix(
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        )
-
     def __sub__(self, other):
         self._check_dim(other)
         return IntMatrix(

@@ -47,6 +47,15 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_order_divides(p: int, t: int) -> int:
+    """Validate p prime and t | p - 1: the degrees a primitive p-th root of
+    unity can have over a field whose characteristic is not p."""
+    check_prime(p)
+    if type(t) is not int or t < 1 or (p - 1) % t != 0:
+        raise DomainError(f"t = {t} does not divide p - 1 = {p - 1}")
+    return t
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple:
     """Prime factorization by trial division, as ((prime, exponent), ...)."""
@@ -75,6 +84,13 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def theorem_bound(d: int, t: int) -> int:
+    """floor(d / phi(t)): the rank bound for p-torsion of a d-dimensional torus."""
+    if d < 1 or t < 1:
+        raise DomainError("d and t must be >= 1")
+    return d // euler_phi(t)
 
 
 def divisors(n: int) -> list:
@@ -111,9 +127,7 @@ def primitive_root(p: int) -> int:
 
 def residues_of_order(p: int, t: int) -> list:
     """All residues of exact multiplicative order t in (Z/p)*, ascending."""
-    check_prime(p)
-    if t < 1 or (p - 1) % t != 0:
-        raise DomainError(f"t = {t} does not divide p - 1 = {p - 1}")
+    check_order_divides(p, t)
     g = primitive_root(p)
     base = pow(g, (p - 1) // t, p)
     return sorted(pow(base, k, p) for k in range(1, t + 1) if math.gcd(k, t) == 1)
@@ -121,7 +135,7 @@ def residues_of_order(p: int, t: int) -> list:
 
 def prime_power_decomposition(q: int):
     """Return (ell, m) with q = ell^m, ell prime, or None if q is not a prime power."""
-    if q < 2:
+    if type(q) is not int or q < 2:
         return None
     fac = factorize(q)
     if len(fac) != 1:

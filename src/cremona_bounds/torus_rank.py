@@ -11,12 +11,12 @@ this is exact (Frobenius topologically generates), over other fields it gives
 an upper bound only.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
 from .errors import DomainError, Report, VerificationError
 from .intlinalg import IntMatrix, companion_matrix, finite_order_indices, kernel_dim_mod_p
-from .numth import euler_phi, residues_of_order
+from .numth import euler_phi, residues_of_order, theorem_bound
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,6 @@ class GaloisTorusPresentation:
     chi_order: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("torus dimension must be >= 1")
         if self.sigma.dimension != self.dimension:
             raise DomainError("action matrix dimension must match torus dimension")
         if self.chi_order < 1:
@@ -48,19 +46,7 @@ class RankCertificate:
     eps_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "upper_bound": self.upper_bound,
-            "eigenspace_rank": self.eigenspace_rank,
-            "char_poly_indices": list(self.char_poly_indices),
-            "eps_used": self.eps_used,
-        }
-
-
-def theorem_bound(d: int, t: int) -> int:
-    """floor(d / phi(t)): the rank bound for p-torsion of a d-dimensional torus."""
-    if d < 1 or t < 1:
-        raise DomainError("d and t must be >= 1")
-    return d // euler_phi(t)
+        return asdict(self)
 
 
 def canonical_eps(p: int, t: int) -> int:
@@ -70,11 +56,15 @@ def canonical_eps(p: int, t: int) -> int:
     return pow(a, -1, p)
 
 
+def _eigenspace_rank(sigma: IntMatrix, eps: int, p: int) -> int:
+    """dim ker(sigma - eps*I) over Z/p."""
+    return kernel_dim_mod_p(sigma - IntMatrix.identity(sigma.dimension).scale(eps), p)
+
+
 def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     """Eigenspace rank of the mod-p action at the inverse character value."""
     eps = canonical_eps(p, pres.chi_order)
-    shifted = pres.sigma - IntMatrix.identity(pres.dimension).scale(eps)
-    rank = kernel_dim_mod_p(shifted, p)
+    rank = _eigenspace_rank(pres.sigma, eps, p)
     bound = theorem_bound(pres.dimension, pres.chi_order)
     if rank > bound:
         raise VerificationError(
@@ -118,11 +108,8 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     total_bound = theorem_bound(pres.dimension, t)
     if total > total_bound:
         violations.append({"total_multiplicity": total, "total_bound": total_bound})
-    per_eps = {}
-    for residue in residues_of_order(p, t):
-        e = pow(residue, -1, p)
-        shifted = pres.sigma - IntMatrix.identity(pres.dimension).scale(e)
-        per_eps[e] = kernel_dim_mod_p(shifted, p)
+    inverses = (pow(residue, -1, p) for residue in residues_of_order(p, t))
+    per_eps = {e: _eigenspace_rank(pres.sigma, e, p) for e in inverses}
     return Report(p=p, t=t, eps=eps, factors=factors, total_multiplicity=total,
                   total_bound=total_bound, per_eps_eigenspace_rank=per_eps,
                   violations=violations)
@@ -131,14 +118,12 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
 def sharp_construction(d: int, t: int) -> GaloisTorusPresentation:
     """Torus attaining the bound: floor(d/phi(t)) companion blocks of Phi_t
     padded by an identity block."""
-    if d < 1 or t < 1:
-        raise DomainError("d and t must be >= 1")
+    copies = theorem_bound(d, t)
     phi_t = euler_phi(t)
-    if phi_t > d:
+    if not copies:
         raise DomainError(
             f"phi({t}) = {phi_t} > d = {d}: the bound is 0, no witness exists"
         )
-    copies = d // phi_t
     blocks = [companion_matrix(cyclotomic_poly(t))] * copies
     pad = d - copies * phi_t
     if pad:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cremona_bounds import ff_oracle, torus_rank
+from cremona_bounds import cyclotomic, ff_oracle, sweeps, torus_rank, weyl_audit
 from cremona_bounds.cli import main
 from cremona_bounds.intlinalg import IntMatrix
 from cremona_bounds.numth import divisors
@@ -18,6 +18,15 @@ def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def failed_check(capsys, *argv):
+    """Run argv in JSON; assert exit 3 on a rendered report with pass false."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    return doc["results"]
 
 
 class TestBound:
@@ -89,6 +98,17 @@ class TestLemma:
     def test_bad_primes(self, capsys):
         code, _, err = run(capsys, "lemma", "--max-n", "5", "--primes", "2,4")
         assert code == 2
+
+    def test_non_integer_prime(self, capsys):
+        code, out, err = run(capsys, "lemma", "--max-n", "5", "--primes", "2,x")
+        assert code == 2
+        assert out == ""
+        assert "bad prime list '2,x'" in err
+
+    def test_counterexample_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: 0)
+        results = failed_check(capsys, "lemma", "--max-n", "1", "--primes", "3")
+        assert [c["fact"] for c in results["counterexamples"]] == ["positivity"]
 
     def test_lift_beyond_index_cap_is_skipped(self, capsys):
         # n * 1009^2 > 10^6, so only the f = 1 power identity is checked
@@ -188,6 +208,14 @@ class TestTorusRank:
         assert out == ""
         assert "verification failure" in err and "exceeds bound" in err
 
+    def test_chain_violation_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(torus_rank, "root_multiplicity", lambda pbar, eps: 2)
+        path = write_json(
+            tmp_path, "torus.json", {"dimension": 1, "sigma": [[-1]], "chi_order": 2}
+        )
+        results = failed_check(capsys, "torus-rank", "--file", path, "--p", "3")
+        assert results["multiplicity_chain"]["violations"]
+
     def test_char_poly_det_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         # char poly of the rotation is X^2 + 1, so c_0 = 1; det faked to 7
         # makes the c_0 = (-1)^d det M cross-check fail
@@ -237,6 +265,17 @@ class TestOracle:
         assert out == ""
         assert "verification failure" in err and "singular" in err
 
+    def test_file_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweeps, "kernel_dim_mod_p", lambda m, p: 99)
+        path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, -1], [1, -1]]})
+        results = failed_check(capsys, "oracle", "--file", path, "--p", "3")
+        assert results["kernel_dim"] == 99 and results["ok"] is False
+
+    def test_sweep_violation_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "kernel_dim_mod_p", lambda m, p: 99)
+        results = failed_check(capsys, "oracle", "--count", "1", "--q", "4", "--p", "3")
+        assert len(results["violations"]) == 1
+
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "oracle", "--count", "5", "--seed", "3")
         assert code == 0
@@ -278,6 +317,11 @@ class TestSharpness:
         code, _, _ = run(capsys, "sharpness", "--d", "3")
         assert code == 2
 
+    def test_gap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "p_elementary_rank", lambda invariants, p: 0)
+        results = failed_check(capsys, "sharpness", "--d", "4", "--t", "3")
+        assert [c["attained"] for c in results["cases"]] == [False]
+
 
 class TestWeylAudit:
     def test_default(self, capsys):
@@ -285,6 +329,34 @@ class TestWeylAudit:
         assert code == 0
         assert "24 elements" in out
         assert "max multiplicity of -1 mod 3: 2" in out
+
+    def test_violation_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(weyl_audit, "ALLOWED_INDICES", {1, 2, 3})
+        results = failed_check(capsys, "weyl-audit")
+        assert {v["fact"] for v in results["violations"]} == {"index_outside_{1,2,3,4}"}
+
+
+class TestInputSchema:
+    @pytest.mark.parametrize(
+        "command,doc,message",
+        [
+            ("torus-rank", [[1]], "input file must contain a JSON object"),
+            ("torus-rank", {"dimension": 1, "chi_order": 1}, "missing the sigma"),
+            ("oracle", {"q": 4}, "missing the sigma"),
+            ("torus-rank", {"dimension": 1, "sigma": [[1]], "chi_order": 1.5},
+             "chi_order must be an integer"),
+            ("oracle", {"q": 4.5, "sigma": [[1]]}, "q must be an integer"),
+            ("torus-rank", {"dimension": 1, "sigma": [[1]]},
+             "requires field 'chi_order'"),
+            ("oracle", {"sigma": [[1]]}, "requires field 'q'"),
+        ],
+    )
+    def test_bad_file_exits_2(self, capsys, tmp_path, command, doc, message):
+        path = write_json(tmp_path, "input.json", doc)
+        code, out, err = run(capsys, command, "--file", path, "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestJsonRoundTrip:

@@ -9,9 +9,11 @@ from cremona_bounds.cremona_table import (
     cremona_rank_bound,
     t_for_field,
 )
+from cremona_bounds.cyclotomic import order_t_multiplicity
 from cremona_bounds.errors import DomainError
-from cremona_bounds.numth import divisors, is_prime
-from cremona_bounds.torus_rank import theorem_bound
+from cremona_bounds.ff_oracle import smallest_field_with_t
+from cremona_bounds.numth import divisors, is_prime, residues_of_order
+from cremona_bounds.torus_rank import canonical_eps, theorem_bound
 
 TABLE = [
     (2, 1, 4),
@@ -61,11 +63,15 @@ class TestCremonaRankBound:
                 prev = bound
 
     def test_contains_two_dim_torus_witness(self):
-        for p in (3, 5, 7, 11, 13):
-            for t in (1, 2):
-                if (p - 1) % t:
-                    continue
-                assert cremona_rank_bound(p, t).rank_bound >= theorem_bound(2, t)
+        # apart from P1 x P1 (p = 2) and the Fermat cubic (3, 1), every row is
+        # the rank bound of a 2-dimensional torus
+        for p in range(3, 400):
+            if not is_prime(p):
+                continue
+            for t in divisors(p - 1):
+                if (p, t) != (3, 1):
+                    bound = cremona_rank_bound(p, t).rank_bound
+                    assert bound == theorem_bound(2, t), (p, t)
 
 
 class TestAttainingExample:
@@ -84,6 +90,26 @@ class TestAttainingExample:
     def test_stable_in_bound_record(self):
         bound = cremona_rank_bound(5, 2)
         assert bound.attained_by == "rank-2 torus witness"
+
+
+@pytest.mark.parametrize(
+    "p,t,message",
+    [(7, 4, "t = 4 does not divide p - 1 = 6"),
+     (7, 0, "t = 0 does not divide p - 1 = 6"),
+     (9, 2, "modulus is not prime: 9"),
+     (7, 2.0, "t = 2.0 does not divide p - 1 = 6")],
+    ids=["7-4", "7-0", "9-2", "7-2.0"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [residues_of_order, lambda p, t: order_t_multiplicity(1, p, t), canonical_eps,
+     cremona_rank_bound, attaining_example, smallest_field_with_t],
+    ids=["residues_of_order", "order_t_multiplicity", "canonical_eps",
+         "cremona_rank_bound", "attaining_example", "smallest_field_with_t"],
+)
+def test_invalid_pair_rejected_by_the_one_check(check, p, t, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        check(p, t)
 
 
 class TestTForField:
@@ -107,6 +133,10 @@ class TestTForField:
     def test_bad_descriptors(self):
         with pytest.raises(DomainError):
             FiniteField(6)
+        with pytest.raises(DomainError):
+            FiniteField(6.5)
+        with pytest.raises(DomainError):
+            t_for_field(FiniteField(4.0), 3)
         with pytest.raises(DomainError):
             CyclotomicExtension(0)
         with pytest.raises(DomainError):

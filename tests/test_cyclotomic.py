@@ -266,6 +266,12 @@ class TestOrderTMultiplicity:
         with pytest.raises(DomainError):
             order_t_multiplicity(4, 5, 3)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_bad_n(self, n):
+        # n = 0 is divisible by every p: stripping the p-part must not loop
+        with pytest.raises(DomainError):
+            order_t_multiplicity(n, 5, 1)
+
     def test_disagreeing_residues_raise(self, monkeypatch):
         monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: eps)
         with pytest.raises(VerificationError, match="disagree"):
@@ -330,6 +336,34 @@ class TestVerifyLemmaRange:
         assert list(verify_lemma_range(3, {2, 3}).to_dict()) == [
             "n_max", "primes", "checks_run", "counterexamples", "passed",
         ]
+
+    def test_uniformity_counterexample(self, monkeypatch):
+        # the two order-4 residues mod 5 get different multiplicities
+        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: eps)
+        report = verify_lemma_range(1, {5})
+        (record,) = [c for c in report.counterexamples if c["fact"] == "uniformity"]
+        assert record == {"n": 1, "p": 5, "t": 4, "fact": "uniformity",
+                          "multiplicities": {2: 2, 3: 3}}
+        assert report.to_dict()["passed"] is False
+
+    def test_positivity_counterexample(self, monkeypatch):
+        # 1 is a root of Phi_1 = X - 1, so multiplicity 0 contradicts n = t
+        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: 0)
+        report = verify_lemma_range(1, {3})
+        assert report.counterexamples == [
+            {"n": 1, "p": 3, "t": 1, "fact": "positivity", "multiplicity": 0,
+             "n_is_t_times_p_power": True},
+        ]
+        assert report.to_dict()["passed"] is False
+
+    def test_prime_power_identity_counterexample(self, monkeypatch):
+        # a power that returns its base breaks Phi_{3^f} = Phi_1^{phi(3^f)} mod 3
+        monkeypatch.setattr(ModPoly, "__pow__", lambda self, k: self)
+        report = verify_lemma_range(1, {3})
+        assert report.counterexamples == [
+            {"n": 1, "p": 3, "f": f, "fact": "prime_power_identity"} for f in (1, 2)
+        ]
+        assert report.to_dict()["passed"] is False
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

@@ -24,7 +24,7 @@ SWEEP_P = (2, 3, 5, 7, 11, 13)
 
 class TestFiniteFieldTorus:
     def test_non_prime_power_rejected(self):
-        for q in (1, 6, 12, 100):
+        for q in (1, 6, 12, 100, 4.5, 4.0, True):
             with pytest.raises(DomainError):
                 FiniteFieldTorus(q=q, sigma=IntMatrix([[1]]))
 

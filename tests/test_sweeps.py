@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cremona_bounds import intlinalg
+from cremona_bounds import intlinalg, sweeps
 from cremona_bounds.errors import DomainError
 from cremona_bounds.ff_oracle import FiniteFieldTorus, group_order
 from cremona_bounds.numth import euler_phi, is_prime
@@ -50,6 +50,17 @@ class TestRunOracleSweep:
         summary = run_oracle_sweep(6, seed=2)
         assert summary["tori"] == 6 and not summary["violations"]
         assert len(calls) == 6
+
+    def test_violation_record(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "kernel_dim_mod_p", lambda m, p: 99)
+        summary = run_oracle_sweep(1, seed=0, qs=(4,), ps=(3,))
+        (record,) = summary["violations"]
+        assert list(record) == [
+            "torus", "q", "p", "p_elementary_rank", "kernel_dim", "rank_bound",
+        ]
+        assert (record["torus"], record["q"], record["p"], record["kernel_dim"]) == (
+            0, 4, 3, 99,
+        )
 
     def test_every_coprime_pair_checked(self):
         summary = run_oracle_sweep(3, seed=1, qs=(4, 9), ps=(2, 3, 5))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cremona_bounds import intlinalg
+from cremona_bounds import intlinalg, torus_rank
 from cremona_bounds.cyclotomic import cyclotomic_poly
 from cremona_bounds.errors import DomainError
 from cremona_bounds.intlinalg import IntMatrix, companion_matrix
@@ -153,6 +153,18 @@ class TestMultiplicityChain:
             "p", "t", "eps", "factors", "total_multiplicity", "total_bound",
             "per_eps_eigenspace_rank", "violations", "passed",
         ]
+
+    def test_violations_fail_the_report(self, monkeypatch):
+        # multiplicity 2 of eps in Phi_2 exceeds phi(2) / phi(2) = 1, and the
+        # total exceeds floor(1 / phi(2)) = 1
+        monkeypatch.setattr(torus_rank, "root_multiplicity", lambda pbar, eps: 2)
+        pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
+        report = multiplicity_chain_check(pres, 3)
+        assert report.violations == [
+            {"index": 2, "multiplicity": 2, "phi": 1, "phi_t": 1},
+            {"total_multiplicity": 2, "total_bound": 1},
+        ]
+        assert report.to_dict()["passed"] is False
 
 
 class TestSharpConstruction:

@@ -103,6 +103,23 @@ class TestAuditPGL4:
         assert report.violations and not report.passed
         assert report.to_dict()["passed"] is False
 
+    def test_minus_identity_violates_three_facts(self, monkeypatch):
+        # -I has char poly (X+1)^3, so -1 is a triple root mod p
+        minus_identity = weyl_audit.WeylElement(
+            (0, 1, 2, 3), IntMatrix.identity(3).scale(-1)
+        )
+        monkeypatch.setattr(weyl_audit, "enumerate_weyl", lambda: [minus_identity])
+        report = audit_pgl4()
+        assert [v["fact"] for v in report.violations] == [
+            "minus_identity_present", "char_poly_(X+1)^3", "minus_one_multiplicity>2",
+        ]
+        for v in report.violations:
+            assert list(v) == [
+                "permutation", "char_poly", "indices", "minus_one_multiplicity", "fact",
+            ]
+            assert v["indices"] == [2, 2, 2] and v["minus_one_multiplicity"] == 3
+        assert report.to_dict()["passed"] is False
+
     def test_other_prime_accepted(self):
         report = audit_pgl4(5)
         assert len(report.elements) == 24
