@@ -14,7 +14,14 @@ from itertools import accumulate
 from operator import mul, sub
 
 from .errors import DomainError, Report, VerificationError
-from .numth import check_prime, divisors, euler_phi, factorize, residues_of_order
+from .numth import (
+    check_order_divides,
+    check_prime,
+    divisors,
+    euler_phi,
+    factorize,
+    residues_of_order,
+)
 
 MAX_CYCLOTOMIC_INDEX = 10**6
 
@@ -220,7 +227,7 @@ class ModPoly(_Poly):
     def __init__(self, p: int, coeffs=()):
         check_prime(p)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _strip(c % p for c in coeffs))
+        object.__setattr__(self, "coeffs", _strip(map(p.__rmod__, coeffs)))
 
     def _key(self):
         return (self.p, self.coeffs)
@@ -314,6 +321,33 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
         coeffs = quot[:-1]
 
 
+def residue_multiplicities(poly: IntPoly, p: int, t: int) -> dict:
+    """{eps: multiplicity of eps as a root of poly mod p} over the order-t residues.
+
+    Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
+    of the coefficients of degree r mod t: the slice sums are taken once, on
+    the integer coefficients, and shared by every residue. Only an actual
+    root pays for the reduction of poly mod p and the synthetic division.
+    """
+    residues = residues_of_order(p, t)
+    coeffs = poly.coeffs
+    # S_r = 0 for r > deg poly, so evaluation costs min(t, deg + 1) steps
+    sums = [sum(coeffs[r::t]) % p for r in range(min(t, len(coeffs)))][::-1]
+    mults = {}
+    pbar = None
+    for eps in residues:
+        acc = 0
+        for s in sums:
+            acc = (acc * eps + s) % p
+        if acc:
+            mults[eps] = 0
+            continue
+        if pbar is None:
+            pbar = reduce_mod(poly, p)
+        mults[eps] = root_multiplicity(pbar, eps)
+    return mults
+
+
 def order_t_multiplicity(n: int, p: int, t: int) -> int:
     """Common multiplicity of every order-t residue as a root of Phi_n mod p.
 
@@ -321,14 +355,13 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     the residue sweep then runs on the p-free part. Fails loudly if the
     order-t residues disagree.
     """
-    residues = residues_of_order(p, t)  # validates (p, t) before any work on n
+    check_order_divides(p, t)  # before any work on n
     f = 0
     n0 = n  # validated by cyclotomic_poly below
     while n0 and n0 % p == 0:
         n0 //= p
         f += 1
-    pbar = reduce_mod(cyclotomic_poly(n0), p)
-    mults = {eps: root_multiplicity(pbar, eps) for eps in residues}
+    mults = residue_multiplicities(cyclotomic_poly(n0), p, t)
     if len(set(mults.values())) != 1:
         raise VerificationError(
             f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
@@ -362,12 +395,9 @@ def verify_lemma_range(n_max: int, primes) -> Report:
                     counterexamples=[])
     for p in primes:
         for n in range(1, n_max + 1):
-            pbar = reduce_mod(cyclotomic_poly(n), p)
+            phi_n = cyclotomic_poly(n)
             for t in divisors(p - 1):
-                mults = {
-                    eps: root_multiplicity(pbar, eps)
-                    for eps in residues_of_order(p, t)
-                }
+                mults = residue_multiplicities(phi_n, p, t)
                 report.checks_run += 1
                 if len(set(mults.values())) != 1:
                     report.counterexamples.append(
@@ -384,8 +414,8 @@ def verify_lemma_range(n_max: int, primes) -> Report:
                          "multiplicity": mult,
                          "n_is_t_times_p_power": expected_positive}
                     )
-            if n % p != 0:
-                base = pbar
+            if n % p != 0 and n * p <= MAX_CYCLOTOMIC_INDEX:
+                base = reduce_mod(phi_n, p)
                 for f in (1, 2):
                     q = p**f
                     if n * q > MAX_CYCLOTOMIC_INDEX:

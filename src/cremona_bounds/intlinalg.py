@@ -304,11 +304,24 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Invariant factors of Z^d / M Z^d, divisibility-chained, zeros last.
 
     Plain Euclidean row/column reduction with minimal-absolute-value pivots;
-    exact arbitrary-precision arithmetic throughout.
+    exact arbitrary-precision arithmetic throughout. The chain is checked on
+    the result: each invariant divides the next (0 divides only 0).
     """
     _check_cap(m)
-    d = m.dimension
-    a = [list(row) for row in m.rows]
+    invariants = _smith_diagonal([list(row) for row in m.rows])
+    for a, b in zip(invariants, invariants[1:]):
+        divides = b % a == 0 if a else b == 0
+        if not divides:
+            raise VerificationError(
+                f"Smith normal form: invariant {a} does not divide {b}: {invariants}"
+            )
+    return invariants
+
+
+def _smith_diagonal(a) -> tuple:
+    """The diagonal that Euclidean reduction leaves of the square matrix a
+    (reduced in place)."""
+    d = len(a)
 
     def find_pivot(k):
         best = None

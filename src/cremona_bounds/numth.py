@@ -119,8 +119,10 @@ def primitive_root(p: int) -> int:
     check_prime(p)
     if p == 2:
         return 1
+    # g generates iff g^((p-1)/q) != 1 for every prime q dividing p - 1
+    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
     for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
+        if all(pow(g, e, p) != 1 for e in cofactors):
             return g
     raise VerificationError(f"no primitive root found mod {p}")  # unreachable
 

@@ -20,9 +20,9 @@ from .ff_oracle import (
     t_of_finite_field,
 )
 from .intlinalg import kernel_dim_mod_p
-from .numth import check_prime, euler_phi, is_prime
+from .numth import check_prime, euler_phi, is_prime, theorem_bound
 from .sampling import random_finite_order_matrix
-from .torus_rank import fixed_point_rank, sharp_construction, theorem_bound
+from .torus_rank import fixed_point_rank, sharp_construction
 
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 SWEEP_P = (2, 3, 5, 7, 11, 13)
@@ -108,7 +108,7 @@ def sharpness_case(d: int, t: int) -> dict:
     q = smallest_field_with_t(p, t)
     tor = FiniteFieldTorus(q=q, sigma=pres.sigma)
     oracle_rank = p_elementary_rank(rational_points_structure(tor), p)
-    bound = theorem_bound(d, t)
+    bound = cert.upper_bound
     return {
         "d": d,
         "t": t,

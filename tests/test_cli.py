@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from cremona_bounds import cyclotomic, ff_oracle, sweeps, torus_rank, weyl_audit
+from cremona_bounds import (
+    cyclotomic,
+    ff_oracle,
+    intlinalg,
+    sweeps,
+    torus_rank,
+    weyl_audit,
+)
 from cremona_bounds.cli import main
 from cremona_bounds.intlinalg import IntMatrix
 from cremona_bounds.numth import divisors
@@ -264,6 +271,14 @@ class TestOracle:
         assert code == 3
         assert out == ""
         assert "verification failure" in err and "singular" in err
+
+    def test_broken_smith_chain_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(intlinalg, "_smith_diagonal", lambda a: (3, 1))
+        path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, -1], [1, -1]]})
+        code, out, err = run(capsys, "oracle", "--file", path, "--p", "3")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err and "does not divide" in err
 
     def test_file_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(sweeps, "kernel_dim_mod_p", lambda m, p: 99)

@@ -3,16 +3,17 @@ import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cremona_bounds import cyclotomic
+from cremona_bounds import cyclotomic, numth
 from cremona_bounds.cyclotomic import (
     IntPoly,
     ModPoly,
     cyclotomic_poly,
     order_t_multiplicity,
     reduce_mod,
+    residue_multiplicities,
     root_multiplicity,
     verify_lemma_range,
 )
@@ -21,7 +22,9 @@ from cremona_bounds.numth import (
     divisors,
     euler_phi,
     factorize,
+    is_prime,
     multiplicative_order,
+    primitive_root,
     residues_of_order,
 )
 
@@ -197,6 +200,25 @@ class TestMultiplicativeOrder:
                 assert (p - 1) % multiplicative_order(a, p) == 0
 
 
+class TestPrimitiveRoot:
+    def test_smallest_generator(self):
+        for p in filter(is_prime, range(3, 2000)):
+            g = primitive_root(p)
+            assert multiplicative_order(g, p) == p - 1, p
+            assert all(multiplicative_order(h, p) < p - 1 for h in range(2, g)), p
+
+    def test_p2(self):
+        assert primitive_root(2) == 1
+
+    def test_no_order_per_candidate(self, monkeypatch):
+        def forbidden(a, p):
+            raise AssertionError("multiplicative_order called")
+
+        monkeypatch.setattr(numth, "multiplicative_order", forbidden)
+        assert primitive_root(2**31 - 1) == 7
+        assert residues_of_order(13, 12) == [2, 6, 7, 11]
+
+
 def _shift_multiplicity(pbar: ModPoly, eps: int) -> int:
     """Independent oracle: expand P(Y + eps) mod p; multiplicity is the
     index of the first nonzero coefficient."""
@@ -252,6 +274,63 @@ class TestRootMultiplicity:
             return
         planted = cofactor * ModPoly(p, (-eps, 1)) ** m
         assert root_multiplicity(planted, eps) == m
+
+
+def _residue_reference(poly: IntPoly, p: int, t: int) -> dict:
+    """Slow reference for fact (a): synthetic division at every order-t residue."""
+    pbar = reduce_mod(poly, p)
+    return {eps: root_multiplicity(pbar, eps) for eps in residues_of_order(p, t)}
+
+
+DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 13, 31, 61, 97, 101)
+
+
+class TestResidueMultiplicities:
+    def test_matches_per_residue_reference(self):
+        # n runs over every index up to 200, those divisible by p included
+        for p in DIFFERENTIAL_PRIMES:
+            for n in range(1, 201):
+                phi_n = cyclotomic_poly(n)
+                for t in divisors(p - 1):
+                    expected = _residue_reference(phi_n, p, t)
+                    assert residue_multiplicities(phi_n, p, t) == expected, (n, p, t)
+
+    def test_p_dividing_n_with_repeated_roots(self):
+        # Phi_{t p^f} = Phi_t^{phi(p^f)} mod p: every order-t residue is a
+        # root of multiplicity phi(p^f)
+        for t, p, f in [(4, 5, 1), (2, 3, 2), (1, 2, 3), (3, 7, 2), (2, 5, 3),
+                        (12, 13, 2)]:
+            phi_n = cyclotomic_poly(t * p**f)
+            mults = residue_multiplicities(phi_n, p, t)
+            assert mults == _residue_reference(phi_n, p, t)
+            assert set(mults.values()) == {euler_phi(p**f)}, (t, p, f)
+
+    def test_validates_p_and_t(self):
+        with pytest.raises(DomainError):
+            residue_multiplicities(cyclotomic_poly(4), 5, 3)
+        with pytest.raises(DomainError):
+            residue_multiplicities(cyclotomic_poly(4), 6, 1)
+
+    def test_zero_mod_p_rejected(self):
+        # every residue is a "root" of 0, whose multiplicity is undefined
+        with pytest.raises(DomainError):
+            residue_multiplicities(IntPoly((5, 10)), 5, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11, 13, 31]),
+        data=st.data(),
+        k=st.integers(0, 3),
+        f=st.lists(st.integers(-20, 20), min_size=1, max_size=15),
+    )
+    def test_planted_cyclotomic_power(self, p, data, k, f):
+        t = data.draw(st.sampled_from(divisors(p - 1)), label="t")
+        cofactor = IntPoly(f)
+        assume(reduce_mod(cofactor, p))
+        poly = cofactor * cyclotomic_poly(t) ** k
+        mults = residue_multiplicities(poly, p, t)
+        assert mults == _residue_reference(poly, p, t)
+        assert min(mults.values()) >= k
 
 
 class TestOrderTMultiplicity:
@@ -339,7 +418,10 @@ class TestVerifyLemmaRange:
 
     def test_uniformity_counterexample(self, monkeypatch):
         # the two order-4 residues mod 5 get different multiplicities
-        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: eps)
+        monkeypatch.setattr(
+            cyclotomic, "residue_multiplicities",
+            lambda poly, p, t: {eps: eps for eps in residues_of_order(p, t)},
+        )
         report = verify_lemma_range(1, {5})
         (record,) = [c for c in report.counterexamples if c["fact"] == "uniformity"]
         assert record == {"n": 1, "p": 5, "t": 4, "fact": "uniformity",

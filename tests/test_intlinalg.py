@@ -376,6 +376,12 @@ class TestSmithNormalForm:
         expected = invariant_factors(sympy.Matrix(m.rows), domain=sympy.ZZ)
         assert smith_normal_form(m) == tuple(int(s) for s in expected)
 
+    @pytest.mark.parametrize("diagonal", [(2, 3), (0, 1), (1, 0, 2)])
+    def test_broken_chain_raises(self, monkeypatch, diagonal):
+        monkeypatch.setattr(intlinalg, "_smith_diagonal", lambda a: diagonal)
+        with pytest.raises(VerificationError, match="does not divide"):
+            smith_normal_form(IntMatrix.identity(len(diagonal)))
+
     def test_basis_change_invariance(self):
         rng = random.Random(23)
         for _ in range(50):
