@@ -11,10 +11,12 @@ oracle/eigenspace equivalence sweep in the test suite pins this choice.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from .cremona_table import FiniteField, t_for_field
+from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, VerificationError
-from .intlinalg import IntMatrix, matrix_order, smith_normal_form
+from .intlinalg import IntMatrix, finite_order_indices, matrix_order, smith_normal_form
 from .numth import (
     check_order_divides,
     check_prime,
@@ -71,8 +73,12 @@ def t_of_finite_field(q: int, p: int) -> int:
 
 
 def group_order(tor: FiniteFieldTorus) -> int:
-    """|T(F_q)| = |det(q*sigma - I)|."""
-    return abs(tor.point_matrix().det())
+    """|T(F_q)| = prod Phi_{d_i}(q) over the cyclotomic indices d_i of sigma.
+
+    This is |det(q*sigma - I)| = |char poly of sigma at q|, as the
+    eigenvalues of sigma are closed under inversion.
+    """
+    return prod(cyclotomic_poly(n)(tor.q) for n in finite_order_indices(tor.sigma))
 
 
 def smallest_field_with_t(p: int, t: int) -> int:

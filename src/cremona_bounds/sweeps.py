@@ -8,8 +8,9 @@ witnesses attain the bound, both by the eigenspace rank and by the oracle.
 """
 
 import random
+from math import prod
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .ff_oracle import (
     FiniteFieldTorus,
     check_field_size,
@@ -52,12 +53,18 @@ def oracle_checks(tor: FiniteFieldTorus, primes) -> tuple:
 
 def oracle_single_check(tor: FiniteFieldTorus, p: int) -> dict:
     """The oracle check of one torus at one prime, with the invariant
-    factors and the order of T(F_q)."""
+    factors and the order of T(F_q); raises VerificationError unless that
+    order, from the cyclotomic indices of sigma, is the product of the
+    invariant factors."""
     invariants, rows = oracle_checks(tor, (p,))
+    order = group_order(tor)
+    if order != prod(invariants):
+        raise VerificationError(
+            f"|T(F_q)| = {order} is not the product of the invariant factors {invariants}"
+        )
     row = rows[p]
     return {"q": tor.q, "p": p, "t": row.pop("t"),
-            "invariant_factors": list(invariants), "group_order": group_order(tor),
-            **row}
+            "invariant_factors": list(invariants), "group_order": order, **row}
 
 
 def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6) -> dict:

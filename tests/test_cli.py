@@ -280,6 +280,14 @@ class TestOracle:
         assert out == ""
         assert "verification failure" in err and "does not divide" in err
 
+    def test_group_order_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweeps, "group_order", lambda tor: ff_oracle.group_order(tor) + 1)
+        path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, -1], [1, -1]]})
+        code, out, err = run(capsys, "oracle", "--file", path, "--p", "3")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err and "product of the invariant factors" in err
+
     def test_file_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(sweeps, "kernel_dim_mod_p", lambda m, p: 99)
         path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, -1], [1, -1]]})

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -17,11 +17,13 @@ from cremona_bounds.errors import (
     NotFiniteOrder,
     VerificationError,
 )
+from cremona_bounds.ff_oracle import FiniteFieldTorus, rational_points_structure
 from cremona_bounds.intlinalg import (
     IntMatrix,
     char_poly,
     companion_matrix,
     cyclotomic_factorization,
+    finite_order_indices,
     kernel_dim_mod_p,
     matrix_order,
     smith_normal_form,
@@ -110,6 +112,11 @@ class TestIntMatrix:
             IntMatrix([[1, 2], [3]])
         with pytest.raises(DomainError):
             IntMatrix([])
+
+    @pytest.mark.parametrize("entry", [1.9, 1.0, "1"])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(TypeError):
+            IntMatrix([[entry, 0], [0, 1]])
 
     def test_arithmetic(self):
         m = IntMatrix([[1, 2], [3, 4]])
@@ -324,8 +331,27 @@ class TestSmithNormalForm:
     def test_scalar(self):
         assert smith_normal_form(IntMatrix([[3]])) == (3,)
 
-    def test_coprime_diagonal(self):
-        assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
+    @pytest.mark.parametrize("diagonal, expected", [
+        pytest.param((2, 3), (1, 6), id="coprime"),
+        pytest.param((0, 4, 6), (2, 12, 0), id="leading-zero"),
+        pytest.param((4, 0, 6, 10), (2, 2, 60, 0), id="inner-zero"),
+        pytest.param((0, 0, 3), (3, 0, 0), id="two-zeros"),
+        pytest.param((6, 10, 15), (1, 30, 30), id="pairwise-gcds"),
+    ])
+    def test_diagonal(self, diagonal, expected):
+        # the gcd-lcm normalisation on inputs that are already diagonal;
+        # expected values from sympy's invariant_factors
+        d = len(diagonal)
+        m = IntMatrix([[diagonal[i] if i == j else 0 for j in range(d)] for i in range(d)])
+        assert smith_normal_form(m) == expected
+
+    def test_point_matrix_at_the_cap(self):
+        # q*sigma - I at d = 64 and q = 2^20: the invariants multiply to
+        # |det(q*sigma - I)| = prod Phi_{d_i}(q) over the cyclotomic indices
+        q = 2**20
+        tor = FiniteFieldTorus(q=q, sigma=random_finite_order_matrix(random.Random(0), 64))
+        expected = prod(cyclotomic_poly(n)(q) for n in finite_order_indices(tor.sigma))
+        assert prod(rational_points_structure(tor)) == expected
 
     def test_weil_restriction_matrix(self):
         assert smith_normal_form(IntMatrix([[-1, 2], [2, -1]])) == (1, 3)
