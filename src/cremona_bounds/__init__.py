@@ -1,18 +1,15 @@
 """Exact machinery behind the rank bound for p-elementary subgroups of the
 plane Cremona group: cyclotomic polynomials mod p, torus torsion bounds with
 a finite-field oracle, the piecewise (p, t) rank table, and the Weyl-group
-audit for the cubic-surface case."""
+audit for the cubic-surface case.
 
-from .cremona_table import (
-    AlgebraicallyClosed,
-    CremonaBound,
-    CyclotomicExtension,
-    FiniteField,
-    Rationals,
-    attaining_example,
-    cremona_rank_bound,
-    t_for_field,
-)
+Every name in __all__ is importable from the package; the names of the
+matrix, torus, oracle, table and Weyl layers load their module on first use.
+"""
+
+from importlib import import_module
+
+# The shared core, loaded eagerly: almost every subcommand runs it.
 from .cyclotomic import (
     IntPoly,
     ModPoly,
@@ -23,32 +20,36 @@ from .cyclotomic import (
     verify_lemma_range,
 )
 from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
-from .ff_oracle import (
-    FiniteFieldTorus,
-    group_order,
-    p_elementary_rank,
-    rational_points_structure,
-    t_of_finite_field,
-)
-from .intlinalg import (
-    IntMatrix,
-    char_poly,
-    companion_matrix,
-    cyclotomic_factorization,
-    kernel_dim_mod_p,
-    matrix_order,
-    smith_normal_form,
-)
-from .numth import euler_phi, multiplicative_order
-from .torus_rank import (
-    GaloisTorusPresentation,
-    RankCertificate,
-    fixed_point_rank,
-    multiplicity_chain_check,
-    sharp_construction,
-    theorem_bound,
-)
-from .weyl_audit import audit_pgl4, enumerate_weyl
+from .numth import euler_phi, multiplicative_order, theorem_bound
+
+# The other layers load on first use of one of their names (PEP 562).
+_LAZY = {
+    "cremona_table": ("AlgebraicallyClosed", "CremonaBound", "CyclotomicExtension",
+                      "FiniteField", "Rationals", "attaining_example",
+                      "cremona_rank_bound", "t_for_field"),
+    "ff_oracle": ("FiniteFieldTorus", "group_order", "p_elementary_rank",
+                  "rational_points_structure", "t_of_finite_field"),
+    "intlinalg": ("IntMatrix", "char_poly", "companion_matrix",
+                  "cyclotomic_factorization", "kernel_dim_mod_p", "matrix_order",
+                  "smith_normal_form"),
+    "torus_rank": ("GaloisTorusPresentation", "RankCertificate", "fixed_point_rank",
+                   "multiplicity_chain_check", "sharp_construction"),
+    "weyl_audit": ("audit_pgl4", "enumerate_weyl"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -3,27 +3,17 @@
 Exit codes: 0 success / verification passed, 1 usage error, 2 domain error
 (DomainError or a subclass: invalid mathematical input, or an unreadable
 file), 3 verification failure (a checked invariant did not hold).
+
+Each handler imports the layers it runs: a subcommand loads those and the
+shared core (numth, cyclotomic) and nothing else.
 """
 
 import argparse
 import json
 import sys
 
-from .cremona_table import cremona_rank_bound
 from .cyclotomic import cyclotomic_poly, reduce_mod, verify_lemma_range
 from .errors import DomainError, VerificationError
-from .ff_oracle import FiniteFieldTorus
-from .intlinalg import IntMatrix
-from .sweeps import (
-    SWEEP_P,
-    SWEEP_Q,
-    oracle_single_check,
-    run_oracle_sweep,
-    sharpness_case,
-    sharpness_sweep,
-)
-from .torus_rank import GaloisTorusPresentation, fixed_point_rank, multiplicity_chain_check
-from .weyl_audit import audit_pgl4
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +65,10 @@ def load_input_file(path: str) -> dict:
     return doc
 
 
-def load_presentation(path: str) -> GaloisTorusPresentation:
+def load_presentation(path: str) -> "GaloisTorusPresentation":
+    from .intlinalg import IntMatrix
+    from .torus_rank import GaloisTorusPresentation
+
     doc = load_input_file(path)
     for key in ("dimension", "chi_order"):
         if key not in doc:
@@ -87,7 +80,10 @@ def load_presentation(path: str) -> GaloisTorusPresentation:
     )
 
 
-def load_ff_torus(path: str) -> FiniteFieldTorus:
+def load_ff_torus(path: str) -> "FiniteFieldTorus":
+    from .ff_oracle import FiniteFieldTorus
+    from .intlinalg import IntMatrix
+
     doc = load_input_file(path)
     if "q" not in doc:
         raise DomainError("finite-field torus file requires field 'q'")
@@ -138,6 +134,8 @@ def cmd_lemma(args):
 
 
 def cmd_bound(args):
+    from .cremona_table import cremona_rank_bound
+
     bound = cremona_rank_bound(args.p, args.t)
     lines = [
         f"p = {bound.p}  t = {bound.t}  rank bound = {bound.rank_bound}",
@@ -147,6 +145,8 @@ def cmd_bound(args):
 
 
 def cmd_torus_rank(args):
+    from .torus_rank import fixed_point_rank, multiplicity_chain_check
+
     pres = load_presentation(args.file)
     cert = fixed_point_rank(pres, args.p)
     chain = multiplicity_chain_check(pres, args.p)
@@ -167,6 +167,8 @@ def cmd_torus_rank(args):
 
 
 def cmd_oracle(args):
+    from .sweeps import SWEEP_P, SWEEP_Q, oracle_single_check, run_oracle_sweep
+
     if args.file:
         if args.p is None:
             raise DomainError("oracle --file requires --p")
@@ -198,6 +200,8 @@ def cmd_oracle(args):
 
 
 def cmd_sharpness(args):
+    from .sweeps import sharpness_case, sharpness_sweep
+
     if (args.d is None) != (args.t is None):
         raise DomainError("sharpness needs both --d and --t, or neither for a sweep")
     if args.d is not None:
@@ -217,6 +221,8 @@ def cmd_sharpness(args):
 
 
 def cmd_weyl_audit(args):
+    from .weyl_audit import audit_pgl4
+
     report = audit_pgl4(args.p)
     lines = [
         f"Weyl group of PGL4: {len(report.elements)} elements, p = {report.p}",

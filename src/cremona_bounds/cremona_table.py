@@ -1,10 +1,9 @@
 """The piecewise rank bound for p-elementary subgroups of the plane Cremona
 group as a function of (p, t), with field descriptors that compute t."""
 
-from dataclasses import asdict, dataclass
 from math import lcm
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .numth import (
     check_order_divides,
     check_prime,
@@ -15,53 +14,48 @@ from .numth import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteField:
-    q: int
+class FiniteField(Record):
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if prime_power_decomposition(self.q) is None:
-            raise DomainError(f"q = {self.q} is not a prime power")
+    def __init__(self, q):
+        if prime_power_decomposition(q) is None:
+            raise DomainError(f"q = {q} is not a prime power")
+        super().__init__(q)
 
     def __str__(self):
         return f"F_{self.q}"
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Record):
+    __slots__ = ()
+
     def __str__(self):
         return "Q"
 
 
-@dataclass(frozen=True)
-class CyclotomicExtension:
+class CyclotomicExtension(Record):
     """Q with a primitive m-th root of unity adjoined."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m):
+        if m < 1:
             raise DomainError("cyclotomic extension index must be >= 1")
+        super().__init__(m)
 
     def __str__(self):
         return f"Q(zeta_{self.m})"
 
 
-@dataclass(frozen=True)
-class AlgebraicallyClosed:
+class AlgebraicallyClosed(Record):
+    __slots__ = ()
+
     def __str__(self):
         return "algebraically closed"
 
 
-@dataclass(frozen=True)
-class CremonaBound:
-    p: int
-    t: int
-    rank_bound: int
-    attained_by: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+class CremonaBound(Record):
+    __slots__ = ("p", "t", "rank_bound", "attained_by")
 
 
 # Example of each rank a 2-dimensional torus attains, theorem_bound(2, t).

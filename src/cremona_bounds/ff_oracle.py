@@ -10,12 +10,11 @@ Convention: arithmetic Frobenius acts by sigma (not its inverse); the
 oracle/eigenspace equivalence sweep in the test suite pins this choice.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 from .cremona_table import FiniteField, t_for_field
 from .cyclotomic import cyclotomic_poly
-from .errors import DomainError, VerificationError
+from .errors import DomainError, Record, VerificationError
 from .intlinalg import IntMatrix, finite_order_indices, matrix_order, smith_normal_form
 from .numth import (
     check_order_divides,
@@ -27,14 +26,13 @@ from .numth import (
 MAX_FIELD_SIZE = 2**20
 
 
-@dataclass(frozen=True)
-class FiniteFieldTorus:
-    q: int
-    sigma: IntMatrix
+class FiniteFieldTorus(Record):
+    __slots__ = ("q", "sigma")
 
-    def __post_init__(self):
-        check_field_size(self.q)
-        matrix_order(self.sigma)  # raises NotFiniteOrder if infinite
+    def __init__(self, q, sigma):
+        check_field_size(q)
+        matrix_order(sigma)  # raises NotFiniteOrder if infinite
+        super().__init__(q, sigma)
 
     @property
     def dimension(self) -> int:

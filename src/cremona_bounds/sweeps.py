@@ -7,7 +7,6 @@ floor(d / phi(t)). The sharpness sweep checks that the companion-block
 witnesses attain the bound, both by the eigenspace rank and by the oracle.
 """
 
-import random
 from math import prod
 
 from .errors import DomainError, VerificationError
@@ -22,7 +21,6 @@ from .ff_oracle import (
 )
 from .intlinalg import kernel_dim_mod_p
 from .numth import check_prime, euler_phi, is_prime, theorem_bound
-from .sampling import random_finite_order_matrix
 from .torus_rank import fixed_point_rank, sharp_construction
 
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -71,6 +69,10 @@ def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6) -
     """Seeded random sweep checking oracle rank == eigenspace dim <= bound
     on count tori of dimension at most max_dim, for every q in qs and every
     p in ps that does not divide q."""
+    import random  # loaded by this sweep only
+
+    from .sampling import random_finite_order_matrix
+
     if count < 1:
         raise DomainError(f"the sweep needs at least one torus, got count = {count}")
     ps = sorted(check_prime(p) for p in ps)

@@ -11,26 +11,22 @@ this is exact (Frobenius topologically generates), over other fields it gives
 an upper bound only.
 """
 
-from dataclasses import asdict, dataclass
-
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
-from .errors import DomainError, Report, VerificationError
+from .errors import DomainError, Record, Report, VerificationError
 from .intlinalg import IntMatrix, companion_matrix, finite_order_indices, kernel_dim_mod_p
 from .numth import euler_phi, residues_of_order, theorem_bound
 
 
-@dataclass(frozen=True)
-class GaloisTorusPresentation:
-    dimension: int
-    sigma: IntMatrix
-    chi_order: int
+class GaloisTorusPresentation(Record):
+    __slots__ = ("dimension", "sigma", "chi_order")
 
-    def __post_init__(self):
-        if self.sigma.dimension != self.dimension:
+    def __init__(self, dimension, sigma, chi_order):
+        if sigma.dimension != dimension:
             raise DomainError("action matrix dimension must match torus dimension")
-        if self.chi_order < 1:
+        if chi_order < 1:
             raise DomainError("character order must be >= 1")
-        finite_order_indices(self.sigma)  # raises NotFiniteOrder if infinite
+        finite_order_indices(sigma)  # raises NotFiniteOrder if infinite
+        super().__init__(dimension, sigma, chi_order)
 
     @property
     def char_poly_indices(self) -> tuple:
@@ -38,15 +34,8 @@ class GaloisTorusPresentation:
         return finite_order_indices(self.sigma)
 
 
-@dataclass(frozen=True)
-class RankCertificate:
-    upper_bound: int
-    eigenspace_rank: int
-    char_poly_indices: tuple
-    eps_used: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+class RankCertificate(Record):
+    __slots__ = ("upper_bound", "eigenspace_rank", "char_poly_indices", "eps_used")
 
 
 def canonical_eps(p: int, t: int) -> int:

@@ -5,21 +5,18 @@ Lattice model: Z^4 / Z*(1,1,1,1), basis = images of e0, e1, e2; the image of
 e3 is -(e0+e1+e2). Coordinate permutations descend to 3x3 integer matrices.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .cyclotomic import IntPoly, reduce_mod, root_multiplicity
-from .errors import Report
+from .errors import DomainError, Record, Report
 from .intlinalg import IntMatrix, char_poly, cyclotomic_factorization
 from .numth import check_prime
 
 ALLOWED_INDICES = {1, 2, 3, 4}
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    permutation: tuple
-    matrix: IntMatrix
+class WeylElement(Record):
+    __slots__ = ("permutation", "matrix")
 
 
 def _quotient_matrix(perm) -> IntMatrix:
@@ -47,8 +44,11 @@ def audit_pgl4(p: int = 3) -> Report:
     """Verify, over all 24 elements: factorization indices lie in {1,2,3,4},
     no element acts as -I, no characteristic polynomial equals (X+1)^3, and
     the multiplicity of -1 mod p as a root of the reduced characteristic
-    polynomial never exceeds 2."""
+    polynomial never exceeds 2. The prime p must be odd: mod 2, -1 is the
+    root 1, of multiplicity 3 for the identity."""
     check_prime(p)
+    if p == 2:
+        raise DomainError("the audit needs an odd prime: -1 and 1 coincide mod 2")
     elements, violations = [], []
     max_mult = 0
     minus_identity = IntMatrix.identity(3).scale(-1)

@@ -358,6 +358,11 @@ class TestWeylAudit:
         results = failed_check(capsys, "weyl-audit")
         assert {v["fact"] for v in results["violations"]} == {"index_outside_{1,2,3,4}"}
 
+    def test_p_2_exits_2(self, capsys):
+        code, out, err = run(capsys, "weyl-audit", "--p", "2", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "domain error" in err and "odd prime" in err
+
 
 class TestInputSchema:
     @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 from itertools import permutations
 
+import pytest
+
 from cremona_bounds import weyl_audit
 from cremona_bounds.cyclotomic import IntPoly
+from cremona_bounds.errors import DomainError
 from cremona_bounds.intlinalg import IntMatrix, char_poly, cyclotomic_factorization
 from cremona_bounds.weyl_audit import audit_pgl4, enumerate_weyl
 
@@ -123,3 +126,8 @@ class TestAuditPGL4:
     def test_other_prime_accepted(self):
         report = audit_pgl4(5)
         assert len(report.elements) == 24
+
+    def test_p_2_rejected(self):
+        # -1 = 1 mod 2, so the identity would report multiplicity 3
+        with pytest.raises(DomainError, match="odd prime"):
+            audit_pgl4(2)
