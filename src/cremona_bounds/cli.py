@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cyclotomic import cyclotomic_poly, reduce_mod, verify_lemma_range
+from .cyclotomic import cyclotomic_poly, reduce_mod, verify_cyclotomic, verify_lemma_range
 from .errors import DomainError, VerificationError
 
 EXIT_OK = 0
@@ -103,6 +103,7 @@ def _parse_primes(text: str) -> tuple:
 
 def cmd_cyclotomic(args):
     poly = cyclotomic_poly(args.n)
+    verify_cyclotomic(args.n, poly)
     results = {
         "n": args.n,
         "degree": poly.degree,

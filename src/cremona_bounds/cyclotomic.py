@@ -5,13 +5,19 @@ polynomials live over Z/p for a prime p. Both share one multiply core
 (schoolbook, or Kronecker substitution after Harvey, JSC 44 (2009)); like the
 whole package it uses only the standard library. Cyclotomic indices up to
 10^6 are supported.
+
+Stride rule: a polynomial whose nonzero exponents are all multiples of k is
+f(X^k), and products and reductions mod p work on the compressed sequence f,
+then expand by k once (`compose_power`). Such operands are common here:
+Phi_n(X) = Phi_r(X^(n/r)) for the radical r of n, and the prime-power step
+Phi_{m p^f} = Phi_m^{phi(p^f)} mod p raises them to powers.
 """
 
 import math
 import struct
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, chain, compress
+from operator import index, mul, sub
 
 from .errors import DomainError, Report, VerificationError
 from .numth import (
@@ -88,6 +94,19 @@ def _convolve(a, b):
     return _unpack(packed * other, nbytes, count)
 
 
+def _stride(*seqs):
+    """The gcd k of the exponents of the nonzero coefficients of every sequence,
+    1 if they are all constants: each sequence s is then s[::k] in X^k."""
+    return math.gcd(*chain.from_iterable(compress(range(len(s)), s) for s in seqs)) or 1
+
+
+def _strided_product(a, b):
+    """(k, c) with k = _stride(a, b) and c the product of a[::k] and b[::k]."""
+    k = _stride(a) if a is b else _stride(a, b)
+    short = a[::k]
+    return k, _convolve(short, short if a is b else b[::k])
+
+
 def _power(x, n, one, product=mul):
     """x**n by square-and-multiply: no product by one, no squaring past n's top bit."""
     if n < 0:
@@ -129,6 +148,24 @@ class _Poly:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def _like(self, coeffs):
+        """A polynomial of self's type on a normalised coefficient tuple, unchecked:
+        products and expansions build their results from coefficients that
+        the public constructors have already checked."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "coeffs", coeffs)
+        return new
+
+    def compose_power(self, k: int):
+        """Substitute X -> X^k."""
+        if k < 1:
+            raise ValueError("power substitution needs k >= 1")
+        if k == 1 or not self:
+            return self
+        out = [0] * (k * self.degree + 1)
+        out[::k] = self.coeffs
+        return self._like(tuple(out))
+
 
 class IntPoly(_Poly):
     """Polynomial with exact integer coefficients."""
@@ -136,7 +173,7 @@ class IntPoly(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip(coeffs))
+        object.__setattr__(self, "coeffs", _strip(map(index, coeffs)))
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -154,7 +191,8 @@ class IntPoly(_Poly):
     def __mul__(self, other):
         if not self or not other:
             return IntPoly()
-        return IntPoly(_convolve(self.coeffs, other.coeffs))
+        k, short = _strided_product(self.coeffs, other.coeffs)
+        return self._like(_strip(short)).compose_power(k)
 
     def __pow__(self, n: int):
         return _power(self, n, IntPoly((1,)))
@@ -181,15 +219,6 @@ class IntPoly(_Poly):
                 for j, b in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= c * b
         return IntPoly(quot), IntPoly(rem)
-
-    def compose_power(self, k: int) -> "IntPoly":
-        """Substitute X -> X^k."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
-        out = [0] * (k * self.degree + 1) if self else []
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return IntPoly(out)
 
     @classmethod
     def x_pow_minus_one(cls, n: int) -> "IntPoly":
@@ -227,17 +256,27 @@ class ModPoly(_Poly):
     def __init__(self, p: int, coeffs=()):
         check_prime(p)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _strip(map(p.__rmod__, coeffs)))
+        object.__setattr__(self, "coeffs", _strip(map(p.__rmod__, map(index, coeffs))))
 
     def _key(self):
         return (self.p, self.coeffs)
+
+    def _like(self, coeffs):
+        new = super()._like(coeffs)
+        object.__setattr__(new, "p", self.p)
+        return new
+
+    def _reduce(self, coeffs):
+        """Integer coefficients reduced mod self.p, unchecked."""
+        return self._like(_strip(map(self.p.__rmod__, coeffs)))
 
     def __mul__(self, other):
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if not self or not other:
             return ModPoly(self.p, ())
-        return ModPoly(self.p, _convolve(self.coeffs, other.coeffs))
+        k, short = _strided_product(self.coeffs, other.coeffs)
+        return self._reduce(short).compose_power(k)
 
     def __pow__(self, n: int):
         return _power(self, n, ModPoly(self.p, (1,)))
@@ -293,9 +332,27 @@ def cyclotomic_poly(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def verify_cyclotomic(n: int, poly: IntPoly) -> None:
+    """Raise VerificationError unless poly has three properties of Phi_n:
+    degree phi(n), palindromic coefficients for n > 1, and value at 1 equal to
+    0 for n = 1, l for a prime power n = l^k, and 1 otherwise. Each costs
+    O(phi(n)) and tests the result, not the construction.
+    """
+    coeffs = poly.coeffs
+    if poly.degree != euler_phi(n):
+        raise VerificationError(f"deg Phi_{n} = {poly.degree} is not phi({n}) = {euler_phi(n)}")
+    if n > 1 and coeffs != coeffs[::-1]:
+        raise VerificationError(f"Phi_{n} is not palindromic")
+    primes = factorize(n)
+    expected = 0 if n == 1 else primes[0][0] if len(primes) == 1 else 1
+    if sum(coeffs) != expected:
+        raise VerificationError(f"Phi_{n}(1) = {sum(coeffs)}, expected {expected}")
+
+
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     """Coefficientwise reduction of an integer polynomial mod p."""
-    return ModPoly(p, poly.coeffs)
+    k = _stride(poly.coeffs)
+    return ModPoly(p)._reduce(poly.coeffs[::k]).compose_power(k)
 
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:

@@ -11,6 +11,7 @@ from cremona_bounds import (
     weyl_audit,
 )
 from cremona_bounds.cli import main
+from cremona_bounds.cyclotomic import IntPoly
 from cremona_bounds.intlinalg import IntMatrix
 from cremona_bounds.numth import divisors
 
@@ -85,6 +86,20 @@ class TestCyclotomic:
         )
         assert code == 0
         assert json.loads(out)["results"]["degree"] == 92160
+
+    # each wrong polynomial breaks exactly one of the three run-time checks
+    @pytest.mark.parametrize("n, coeffs, message", [
+        (5, (1, 1, 1, 1, 1, 1), "is not phi(5)"),
+        (5, (1, 2, 0, 1, 1), "not palindromic"),
+        (5, (1, 0, 1, 0, 1), "Phi_5(1) = 3, expected 5"),
+        (1, (1, 1), "Phi_1(1) = 2, expected 0"),
+    ], ids=["degree", "palindrome", "value-at-1", "value-at-1-n1"])
+    def test_wrong_polynomial_exits_3(self, capsys, monkeypatch, n, coeffs, message):
+        monkeypatch.setattr("cremona_bounds.cli.cyclotomic_poly", lambda n: IntPoly(coeffs))
+        code, out, err = run(capsys, "cyclotomic", "--n", str(n), "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err and message in err
 
 
 class TestLemma:

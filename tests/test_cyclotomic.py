@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -15,6 +16,7 @@ from cremona_bounds.cyclotomic import (
     reduce_mod,
     residue_multiplicities,
     root_multiplicity,
+    verify_cyclotomic,
     verify_lemma_range,
 )
 from cremona_bounds.errors import DomainError, VerificationError
@@ -64,6 +66,27 @@ class TestIntPoly:
     def test_compose_power(self):
         p = IntPoly((1, 1, 1))
         assert p.compose_power(2) == IntPoly((1, 0, 1, 0, 1))
+        assert p.compose_power(1) is p
+        assert IntPoly().compose_power(3) == IntPoly()
+        with pytest.raises(ValueError):
+            p.compose_power(0)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), "1"])
+    def test_non_integer_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            IntPoly([bad, 1])
+
+
+class TestModPoly:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), "1"])
+    def test_non_integer_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            ModPoly(3, [bad, 1])
+
+    def test_compose_power_keeps_modulus(self):
+        f = ModPoly(5, (4, 1)).compose_power(3)
+        assert f == ModPoly(5, (4, 0, 0, 1))
+        assert f.p == 5
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +180,10 @@ class TestCyclotomicPoly:
             fac = factorize(n)
             expected = fac[0][0] if len(fac) == 1 else 1
             assert cyclotomic_poly(n)(1) == expected, n
+
+    def test_verify_cyclotomic_accepts(self):
+        for n in (1,) + tuple(IDENTITY_INDICES):
+            verify_cyclotomic(n, cyclotomic_poly(n))
 
     def test_large_index(self):
         # 510510 = 2*3*5*7*11*13*17; uncached, so the sparse product runs

@@ -3,6 +3,8 @@
 `IntPoly` and `ModPoly` products and powers are compared with a schoolbook
 reference kept here, on both sides of the schoolbook/Kronecker crossover,
 and with evaluation at random points for operands too long for the reference.
+Operands in X^k, which the core multiplies and reduces on their compressed
+coefficients, are built here by the test's own substitution `stretch`.
 """
 
 import os
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona_bounds.cyclotomic import (
+    _KRONECKER_BREAK_EVEN,
     IntPoly,
     ModPoly,
     _power,
@@ -32,9 +35,12 @@ def reference_mul(a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    # zero terms add nothing; skipping them keeps long sparse operands cheap
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -52,6 +58,21 @@ def reference_pow(coeffs, n):
     for _ in range(n):
         out = reference_mul(out, coeffs)
     return out
+
+
+def stretch(coeffs, k):
+    """The sequence of f(X^k) for the sequence f of coeffs."""
+    out = [0] * (k * (len(coeffs) - 1) + 1) if coeffs else []
+    for i, c in enumerate(coeffs):
+        out[i * k] = c
+    return out
+
+
+def strip_mod(p, coeffs):
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 # empty and short operands, which take the schoolbook path, and longer
@@ -195,6 +216,91 @@ def test_extreme_coefficients(k, m):
     p = 2**31 - 1
     square = ModPoly(p, [p - 1] * k) ** 2
     assert square.coeffs == tuple(c % p for c in overlap)
+
+
+# (m1, m2) coprime: the strides g * m1 and g * m2 have gcd g
+COPRIME = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+gcds = st.integers(1, 6)
+
+
+class TestStrideRule:
+    """Products and reductions of f(X^k1) and g(X^k2) against the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=gcds, m=st.sampled_from(COPRIME))
+    def test_int_mul_matches_reference(self, data, g, m):
+        a = stretch(data.draw(lengths.flatmap(int_coeffs)), g * m[0])
+        b = stretch(data.draw(lengths.flatmap(int_coeffs)), g * m[1])
+        assert (IntPoly(a) * IntPoly(b)).coeffs == reference_mul(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=gcds, m=st.sampled_from(COPRIME))
+    def test_mod_mul_matches_reference(self, data, g, m):
+        p = data.draw(st.sampled_from(PRIMES))
+        a = stretch(data.draw(mod_coeffs(p)), g * m[0])
+        b = stretch(data.draw(mod_coeffs(p)), g * m[1])
+        assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=48),
+           k=gcds, p=st.sampled_from(PRIMES), n=st.integers(0, 5))
+    def test_squares_and_powers_match_reference(self, a, k, p, n):
+        f, fbar = IntPoly(stretch(a, k)), ModPoly(p, stretch(a, k))
+        assert (f * f).coeffs == reference_mul(f.coeffs, f.coeffs)
+        assert (fbar * fbar).coeffs == mod_reference(p, fbar.coeffs, fbar.coeffs)
+        assert (fbar**n).coeffs == strip_mod(p, reference_pow(fbar.coeffs, n))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6])
+    @pytest.mark.parametrize("const", [(), (7,), (-2,)])
+    def test_constant_and_zero_operands(self, k, const):
+        coeffs = stretch([3, 0, -1, 4], k)
+        for make in (IntPoly, lambda c: ModPoly(13, c)):
+            f, c = make(coeffs), make(const)
+            expected = make(reference_mul(const, coeffs))
+            assert f * c == c * f == expected
+            assert c * c == make(reference_mul(const, const))
+
+    def test_both_sides_of_the_crossover(self):
+        # dense compressed lengths (la, lb): the schoolbook loop runs when
+        # la * lb < _KRONECKER_BREAK_EVEN * (la + lb), else Kronecker
+        rng = random.Random(11)
+        sides = set()
+        for la, lb in [(2, 5), (11, 12), (12, 12), (13, 11), (48, 30)]:
+            sides.add(la * lb < _KRONECKER_BREAK_EVEN * (la + lb))
+            for k in (1, 4, 6):
+                a = stretch([rng.randrange(1, 2**40) for _ in range(la)], k)
+                b = stretch([-rng.randrange(1, 2**40) for _ in range(lb)], k)
+                assert (IntPoly(a) * IntPoly(b)).coeffs == reference_mul(a, b)
+                for p in PRIMES:
+                    assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("coeffs, p, expected", [
+        ((1, 0, 0, 0, 3), 3, (1,)),
+        ((1, 0, 3, 0, 1), 3, (1, 0, 0, 0, 1)),
+        ((3, 0, 0, 1, 0, 0, 6), 3, (0, 0, 0, 1)),
+        ((0, 0, 6, 0, 0, 0, 9), 3, ()),
+    ], ids=["leading-vanishes", "middle-vanishes", "ends-vanish", "all-vanish"])
+    def test_reduce_mod_examples(self, coeffs, p, expected):
+        assert reduce_mod(IntPoly(coeffs), p).coeffs == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=gcds, p=st.sampled_from(PRIMES))
+    def test_reduce_mod_matches_reference(self, data, k, p):
+        # about a third of the coefficients are nonzero multiples of p
+        coeff = st.one_of(st.integers(-5, 5).map(lambda c: c * p),
+                          st.integers(-(2**40), 2**40))
+        coeffs = stretch(data.draw(st.lists(coeff, max_size=24)), k)
+        assert reduce_mod(IntPoly(coeffs), p).coeffs == strip_mod(p, coeffs)
+
+    @pytest.mark.parametrize("n, s", [(8192, 3), (15625, 3), (16807, 3), (14406, 5)])
+    def test_prime_power_identity(self, n, s):
+        # Phi_{n s} = Phi_n^(s-1) mod s, the identity the benchmark checks on
+        # operands in X^4096, X^3125 and X^2401
+        base = strip_mod(s, cyclotomic_poly(n).coeffs)
+        expected = strip_mod(s, reference_pow(base, s - 1))
+        assert reduce_mod(cyclotomic_poly(n * s), s).coeffs == expected
+        assert (reduce_mod(cyclotomic_poly(n), s) ** (s - 1)).coeffs == expected
 
 
 class CountingPoly:
