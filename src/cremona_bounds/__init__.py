@@ -25,13 +25,12 @@ from .numth import euler_phi, multiplicative_order, theorem_bound
 # The other layers load on first use of one of their names (PEP 562).
 _LAZY = {
     "cremona_table": ("AlgebraicallyClosed", "CremonaBound", "CyclotomicExtension",
-                      "FiniteField", "Rationals", "attaining_example",
-                      "cremona_rank_bound", "t_for_field"),
+                      "FiniteField", "Rationals", "cremona_rank_bound",
+                      "t_for_field"),
     "ff_oracle": ("FiniteFieldTorus", "group_order", "p_elementary_rank",
                   "rational_points_structure", "t_of_finite_field"),
     "intlinalg": ("IntMatrix", "char_poly", "companion_matrix",
-                  "cyclotomic_factorization", "kernel_dim_mod_p", "matrix_order",
-                  "smith_normal_form"),
+                  "cyclotomic_factorization", "kernel_dim_mod_p", "smith_normal_form"),
     "torus_rank": ("GaloisTorusPresentation", "RankCertificate", "fixed_point_rank",
                    "multiplicity_chain_check", "sharp_construction"),
     "weyl_audit": ("audit_pgl4", "enumerate_weyl"),
@@ -69,7 +68,6 @@ __all__ = [
     "RankCertificate",
     "Rationals",
     "VerificationError",
-    "attaining_example",
     "audit_pgl4",
     "char_poly",
     "companion_matrix",
@@ -81,7 +79,6 @@ __all__ = [
     "fixed_point_rank",
     "group_order",
     "kernel_dim_mod_p",
-    "matrix_order",
     "multiplicative_order",
     "multiplicity_chain_check",
     "order_t_multiplicity",

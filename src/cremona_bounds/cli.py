@@ -4,6 +4,11 @@ Exit codes: 0 success / verification passed, 1 usage error, 2 domain error
 (DomainError or a subclass: invalid mathematical input, or an unreadable
 file), 3 verification failure (a checked invariant did not hold).
 
+Each handler returns (inputs, results, pass) and builds no text; pass is
+None for a plain computation. `main` is the one renderer: JSON is the object
+{command, inputs, results, pass?}, text is one `key: value` line per result
+field (strings as they are, other values as JSON), then PASS or FAIL.
+
 Each handler imports the layers it runs: a subcommand loads those and the
 shared core (numth, cyclotomic) and nothing else.
 """
@@ -97,10 +102,6 @@ def _parse_primes(text: str) -> tuple:
         raise DomainError(f"bad prime list {text!r}") from exc
 
 
-# Each handler returns (inputs, results, pass or None, text lines); main
-# renders them in the chosen format and maps a failed pass to exit code 3.
-
-
 def cmd_cyclotomic(args):
     poly = cyclotomic_poly(args.n)
     verify_cyclotomic(args.n, poly)
@@ -110,39 +111,24 @@ def cmd_cyclotomic(args):
         "coefficients": list(poly.coeffs),
         "polynomial": str(poly),
     }
-    lines = [f"Phi_{args.n} = {poly}", f"degree {poly.degree}"]
     if args.p is not None:
-        reduced = reduce_mod(poly, args.p)
         results["modulus"] = args.p
-        results["reduced_coefficients"] = list(reduced.coeffs)
-        lines.append(f"mod {args.p}: {reduced}")
-    return {"n": args.n, "p": args.p}, results, None, lines
+        results["reduced_coefficients"] = list(reduce_mod(poly, args.p).coeffs)
+    return {"n": args.n, "p": args.p}, results, None
 
 
 def cmd_lemma(args):
     primes = _parse_primes(args.primes)
     report = verify_lemma_range(args.max_n, primes)
-    lines = [
-        f"lemma sweep: n <= {args.max_n}, primes {list(primes)}",
-        f"checks run: {report.checks_run}",
-        f"counterexamples: {len(report.counterexamples)}",
-        "PASS" if report.passed else "FAIL",
-    ]
-    for ce in report.counterexamples:
-        lines.append(f"  counterexample: {ce}")
     inputs = {"max_n": args.max_n, "primes": list(primes)}
-    return inputs, report.to_dict(), report.passed, lines
+    return inputs, report.to_dict(), report.passed
 
 
 def cmd_bound(args):
     from .cremona_table import cremona_rank_bound
 
     bound = cremona_rank_bound(args.p, args.t)
-    lines = [
-        f"p = {bound.p}  t = {bound.t}  rank bound = {bound.rank_bound}",
-        f"attained by: {bound.attained_by}",
-    ]
-    return {"p": args.p, "t": args.t}, bound.to_dict(), None, lines
+    return {"p": args.p, "t": args.t}, bound.to_dict(), None
 
 
 def cmd_torus_rank(args):
@@ -157,14 +143,7 @@ def cmd_torus_rank(args):
         "certificate": cert.to_dict(),
         "multiplicity_chain": chain.to_dict(),
     }
-    lines = [
-        f"dimension {pres.dimension}, character order {pres.chi_order}, p = {args.p}",
-        f"upper bound floor(d/phi(t)) = {cert.upper_bound}",
-        f"eigenspace rank at eps = {cert.eps_used}: {cert.eigenspace_rank}",
-        f"char poly indices: {list(cert.char_poly_indices)}",
-        f"multiplicity chain: {'PASS' if chain.passed else 'FAIL'}",
-    ]
-    return {"file": args.file, "p": args.p}, results, chain.passed, lines
+    return {"file": args.file, "p": args.p}, results, chain.passed
 
 
 def cmd_oracle(args):
@@ -173,31 +152,13 @@ def cmd_oracle(args):
     if args.file:
         if args.p is None:
             raise DomainError("oracle --file requires --p")
-        tor = load_ff_torus(args.file)
-        result = oracle_single_check(tor, args.p)
-        lines = [
-            f"T(F_{result['q']}), dimension {tor.dimension}, p = {result['p']}",
-            f"invariant factors: {result['invariant_factors']}",
-            f"group order: {result['group_order']}",
-            f"p-elementary rank: {result['p_elementary_rank']}",
-            f"eigenspace dim:    {result['kernel_dim']}",
-            f"rank bound:        {result['rank_bound']}",
-            "PASS" if result["ok"] else "FAIL",
-        ]
-        return {"file": args.file, "p": args.p}, result, result["ok"], lines
+        result = oracle_single_check(load_ff_torus(args.file), args.p)
+        return {"file": args.file, "p": args.p}, result, result["ok"]
     qs = (args.q,) if args.q is not None else SWEEP_Q
     ps = (args.p,) if args.p is not None else SWEEP_P
     summary = run_oracle_sweep(args.count, args.seed, qs=qs, ps=ps)
-    passed = not summary["violations"]
-    lines = [
-        f"oracle sweep: {summary['tori']} tori, {summary['checks']} checks, seed {args.seed}",
-        f"violations: {len(summary['violations'])}",
-        "PASS" if passed else "FAIL",
-    ]
-    for v in summary["violations"]:
-        lines.append(f"  violation: {v}")
     inputs = {"count": args.count, "seed": args.seed, "q": args.q, "p": args.p}
-    return inputs, summary, passed, lines
+    return inputs, summary, not summary["violations"]
 
 
 def cmd_sharpness(args):
@@ -210,28 +171,14 @@ def cmd_sharpness(args):
     else:
         cases = sharpness_sweep()
     passed = all(c["attained"] for c in cases)
-    lines = [f"{'d':>2} {'t':>2} {'p':>3} {'q':>3} {'bound':>5} {'rank':>4} {'oracle':>6}"]
-    for c in cases:
-        lines.append(
-            f"{c['d']:>2} {c['t']:>2} {c['p']:>3} {c['q']:>3} "
-            f"{c['rank_bound']:>5} {c['eigenspace_rank']:>4} {c['oracle_rank']:>6}"
-            + ("" if c["attained"] else "  GAP")
-        )
-    lines.append("PASS" if passed else "FAIL")
-    return {"d": args.d, "t": args.t}, {"cases": cases}, passed, lines
+    return {"d": args.d, "t": args.t}, {"cases": cases}, passed
 
 
 def cmd_weyl_audit(args):
     from .weyl_audit import audit_pgl4
 
     report = audit_pgl4(args.p)
-    lines = [
-        f"Weyl group of PGL4: {len(report.elements)} elements, p = {report.p}",
-        f"max multiplicity of -1 mod {report.p}: {report.max_minus_one_multiplicity}",
-        f"violations: {len(report.violations)}",
-        "PASS" if report.passed else "FAIL",
-    ]
-    return {"p": args.p}, report.to_dict(), report.passed, lines
+    return {"p": args.p}, report.to_dict(), report.passed
 
 
 def build_parser() -> _Parser:
@@ -286,7 +233,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, passed, lines = args.func(args)
+        inputs, results, passed = args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -302,8 +249,10 @@ def main(argv=None) -> int:
             doc["pass"] = passed
         print(json.dumps(doc, indent=2))
     else:
-        for line in lines:
-            print(line)
+        for key, value in results.items():
+            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
+        if passed is not None:
+            print("PASS" if passed else "FAIL")
     return EXIT_VERIFICATION if passed is False else EXIT_OK
 
 

@@ -78,11 +78,6 @@ def _table_row(p: int, t: int) -> tuple:
     return rank, _TORUS_EXAMPLES[rank]
 
 
-def attaining_example(p: int, t: int) -> str:
-    """Fixed descriptive identifier of the construction attaining the bound."""
-    return _table_row(p, t)[1]
-
-
 def cremona_rank_bound(p: int, t: int) -> CremonaBound:
     """Maximal rank of a p-elementary subgroup of the plane Cremona group
     over a perfect field with p-th roots of unity of degree t."""

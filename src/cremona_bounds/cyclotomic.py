@@ -178,16 +178,6 @@ class IntPoly(_Poly):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self[i] + other[i] for i in range(n))
-
-    def __sub__(self, other):
-        return self + -other
-
     def __mul__(self, other):
         if not self or not other:
             return IntPoly()
@@ -219,13 +209,6 @@ class IntPoly(_Poly):
                 for j, b in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= c * b
         return IntPoly(quot), IntPoly(rem)
-
-    @classmethod
-    def x_pow_minus_one(cls, n: int) -> "IntPoly":
-        coeffs = [0] * (n + 1)
-        coeffs[0] = -1
-        coeffs[n] = 1
-        return cls(coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -280,12 +263,6 @@ class ModPoly(_Poly):
 
     def __pow__(self, n: int):
         return _power(self, n, ModPoly(self.p, (1,)))
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     def __str__(self):
         return f"({IntPoly(self.coeffs)}) mod {self.p}"

@@ -15,7 +15,7 @@ from math import prod
 from .cremona_table import FiniteField, t_for_field
 from .cyclotomic import cyclotomic_poly
 from .errors import DomainError, Record, VerificationError
-from .intlinalg import IntMatrix, finite_order_indices, matrix_order, smith_normal_form
+from .intlinalg import IntMatrix, finite_order_indices, smith_normal_form
 from .numth import (
     check_order_divides,
     check_prime,
@@ -31,7 +31,7 @@ class FiniteFieldTorus(Record):
 
     def __init__(self, q, sigma):
         check_field_size(q)
-        matrix_order(sigma)  # raises NotFiniteOrder if infinite
+        finite_order_indices(sigma)  # raises NotFiniteOrder if infinite
         super().__init__(q, sigma)
 
     @property

@@ -90,9 +90,6 @@ class IntMatrix:
     def __pow__(self, n: int) -> "IntMatrix":
         return _power(self, n, IntMatrix.identity(self.dimension), matmul)
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.dimension)
-
     def det(self) -> int:
         """Determinant via fraction-free Bareiss elimination."""
         d = self.dimension
@@ -289,15 +286,10 @@ def finite_order_indices(m: IntMatrix) -> tuple:
         ) from exc
     n = lcm(*indices)
     # semisimplicity is not implied by the char poly; verify by powering
-    if not (m**n).is_identity():
+    if m**n != IntMatrix.identity(m.dimension):
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
     object.__setattr__(m, "_indices", indices)
     return indices
-
-
-def matrix_order(m: IntMatrix) -> int:
-    """Least N >= 1 with M^N = I; raises NotFiniteOrder otherwise."""
-    return lcm(*finite_order_indices(m))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple:

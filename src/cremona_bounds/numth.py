@@ -87,10 +87,11 @@ def euler_phi(n: int) -> int:
 
 
 def theorem_bound(d: int, t: int) -> int:
-    """floor(d / phi(t)): the rank bound for p-torsion of a d-dimensional torus."""
+    """floor(d / phi(t)): the rank bound for p-torsion of a d-dimensional torus.
+    It is 0 for t > 2 d^2, as phi(t) >= sqrt(t / 2) > d; t is not factored then."""
     if d < 1 or t < 1:
         raise DomainError("d and t must be >= 1")
-    return d // euler_phi(t)
+    return 0 if t > 2 * d * d else d // euler_phi(t)
 
 
 def divisors(n: int) -> list:

@@ -13,7 +13,13 @@ an upper bound only.
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
 from .errors import DomainError, Record, Report, VerificationError
-from .intlinalg import IntMatrix, companion_matrix, finite_order_indices, kernel_dim_mod_p
+from .intlinalg import (
+    MAX_DIMENSION,
+    IntMatrix,
+    companion_matrix,
+    finite_order_indices,
+    kernel_dim_mod_p,
+)
 from .numth import euler_phi, residues_of_order, theorem_bound
 
 
@@ -106,13 +112,13 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
 
 def sharp_construction(d: int, t: int) -> GaloisTorusPresentation:
     """Torus attaining the bound: floor(d/phi(t)) companion blocks of Phi_t
-    padded by an identity block."""
+    padded by an identity block; d is checked against the cap first."""
+    if not 1 <= d <= MAX_DIMENSION:
+        raise DomainError(f"dimension {d} outside [1, {MAX_DIMENSION}]")
     copies = theorem_bound(d, t)
-    phi_t = euler_phi(t)
     if not copies:
-        raise DomainError(
-            f"phi({t}) = {phi_t} > d = {d}: the bound is 0, no witness exists"
-        )
+        raise DomainError(f"phi({t}) > d = {d}: the bound is 0, no witness exists")
+    phi_t = euler_phi(t)
     blocks = [companion_matrix(cyclotomic_poly(t))] * copies
     pad = d - copies * phi_t
     if pad:

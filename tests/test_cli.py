@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,17 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def rendered_text(doc):
+    """The text rendering of a JSON document: one `key: value` line per
+    result field, strings as they are and other values as JSON, then
+    PASS or FAIL when the document has a pass field."""
+    lines = [f"{key}: {value if isinstance(value, str) else json.dumps(value)}"
+             for key, value in doc["results"].items()]
+    if "pass" in doc:
+        lines.append("PASS" if doc["pass"] else "FAIL")
+    return "".join(f"{line}\n" for line in lines)
+
+
 def failed_check(capsys, *argv):
     """Run argv in JSON; assert exit 3 on a rendered report with pass false."""
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -41,8 +53,8 @@ class TestBound:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "bound", "--p", "3", "--t", "1")
         assert code == 0
-        assert "rank bound = 3" in out
-        assert "Fermat cubic" in out
+        assert "rank_bound: 3\n" in out
+        assert "attained_by: Fermat cubic surface, rank 3\n" in out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "bound", "--p", "5", "--t", "2", "--format", "json")
@@ -152,7 +164,9 @@ class TestTorusRank:
         )
         code, out, _ = run(capsys, "torus-rank", "--file", path, "--p", "5")
         assert code == 0
-        assert "eigenspace rank" in out
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[:-1])
+        assert json.loads(fields["certificate"])["eigenspace_rank"] == 1
+        assert out.endswith("PASS\n")
 
     def test_json_output(self, capsys, tmp_path):
         path = write_json(
@@ -317,7 +331,7 @@ class TestOracle:
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "oracle", "--count", "5", "--seed", "3")
         assert code == 0
-        assert "violations: 0" in out
+        assert "violations: []\n" in out
 
     @pytest.mark.parametrize(
         "argv", [["--p", "0"], ["--q", "0"], ["--count", "-3"]]
@@ -355,6 +369,15 @@ class TestSharpness:
         code, _, _ = run(capsys, "sharpness", "--d", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("d, t", [(4, 2**61 - 1), (10**5, 1), (65, 1)])
+    def test_out_of_range_exits_2_at_once(self, capsys, d, t):
+        # a t past 2 d^2 is not factored, and no block is built past d = 64
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sharpness", "--d", str(d), "--t", str(t))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert "domain error" in err
+
     def test_gap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(sweeps, "p_elementary_rank", lambda invariants, p: 0)
         results = failed_check(capsys, "sharpness", "--d", "4", "--t", "3")
@@ -365,8 +388,8 @@ class TestWeylAudit:
     def test_default(self, capsys):
         code, out, _ = run(capsys, "weyl-audit")
         assert code == 0
-        assert "24 elements" in out
-        assert "max multiplicity of -1 mod 3: 2" in out
+        assert "element_count: 24\n" in out
+        assert "max_minus_one_multiplicity: 2\n" in out
 
     def test_violation_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(weyl_audit, "ALLOWED_INDICES", {1, 2, 3})
@@ -377,6 +400,52 @@ class TestWeylAudit:
         code, out, err = run(capsys, "weyl-audit", "--p", "2", "--format", "json")
         assert (code, out) == (2, "")
         assert "domain error" in err and "odd prime" in err
+
+
+# one invocation of every subcommand; {torus} and {ff} are input files
+RENDERED = [
+    ["bound", "--p", "3", "--t", "1"],
+    ["cyclotomic", "--n", "105"],
+    ["cyclotomic", "--n", "12", "--p", "5"],
+    ["lemma", "--max-n", "8", "--primes", "2,3,5"],
+    ["torus-rank", "--file", "{torus}", "--p", "5"],
+    ["oracle", "--file", "{ff}", "--p", "3"],
+    ["oracle", "--count", "3", "--seed", "1"],
+    ["sharpness"],
+    ["weyl-audit"],
+]
+
+
+class TestOneRenderer:
+    """Text and JSON are two renderings of one result, with one exit code."""
+
+    def both_formats(self, capsys, argv):
+        text = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert text[0] == code
+        return text[1], json.loads(out)
+
+    @pytest.mark.parametrize("argv", RENDERED, ids=[" ".join(a[:2]) for a in RENDERED])
+    def test_text_renders_the_json_results(self, capsys, tmp_path, argv):
+        files = {
+            "torus": write_json(tmp_path, "torus.json",
+                                {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4}),
+            "ff": write_json(tmp_path, "ff.json", {"q": 2, "sigma": [[0, 1], [1, 0]]}),
+        }
+        text, doc = self.both_formats(capsys, [a.format(**files) for a in argv])
+        assert text == rendered_text(doc)
+
+    def test_failed_check_renders_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(weyl_audit, "ALLOWED_INDICES", {1, 2, 3})
+        text, doc = self.both_formats(capsys, ["weyl-audit"])
+        assert doc["pass"] is False
+        assert text == rendered_text(doc) and text.endswith("FAIL\n")
+
+    def test_text_values_parse_back(self, capsys):
+        text, doc = self.both_formats(capsys, ["cyclotomic", "--n", "12", "--p", "5"])
+        fields = dict(line.split(": ", 1) for line in text.splitlines())
+        assert fields.pop("polynomial") == doc["results"].pop("polynomial")
+        assert {k: json.loads(v) for k, v in fields.items()} == doc["results"]
 
 
 class TestInputSchema:

@@ -41,8 +41,8 @@ class TestIntPoly:
         a = IntPoly((1, 1))  # X + 1
         b = IntPoly((-1, 1))  # X - 1
         assert a * b == IntPoly((-1, 0, 1))
-        assert a + b == IntPoly((0, 2))
-        assert a - a == IntPoly()
+        assert a * IntPoly() == IntPoly()
+        assert a**0 == IntPoly((1,))
         assert a**3 == IntPoly((1, 3, 3, 1))
 
     def test_eval(self):
@@ -89,6 +89,10 @@ class TestModPoly:
         assert f.p == 5
 
 
+def x_pow_minus_one(n):
+    return IntPoly([-1] + [0] * (n - 1) + [1])
+
+
 @lru_cache(maxsize=None)
 def _division_reference(n):
     """Slow reference: Phi_n = (X^n - 1) / prod_{d|n, d<n} Phi_d by exact long
@@ -96,7 +100,7 @@ def _division_reference(n):
     r = math.prod(q for q, _ in factorize(n))
     if r != n:
         return _division_reference(r).compose_power(n // r)
-    quot = IntPoly.x_pow_minus_one(n)
+    quot = x_pow_minus_one(n)
     for d in divisors(n)[:-1]:
         quot, rem = quot.divmod_monic(_division_reference(d))
         assert not rem
@@ -140,7 +144,7 @@ class TestCyclotomicPoly:
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * cyclotomic_poly(d)
-        assert prod == IntPoly.x_pow_minus_one(n)
+        assert prod == x_pow_minus_one(n)
 
     @pytest.mark.parametrize("n", list(range(1, 80)) + [105, 255, 360, 500])
     def test_degree_is_totient(self, n):
@@ -297,7 +301,7 @@ class TestRootMultiplicity:
     def test_planted_multiplicity(self, p, m, eps, rest):
         eps %= p
         cofactor = ModPoly(p, rest)
-        if not cofactor or cofactor(eps) == 0:
+        if not cofactor or IntPoly(rest)(eps) % p == 0:
             return
         planted = cofactor * ModPoly(p, (-eps, 1)) ** m
         assert root_multiplicity(planted, eps) == m

@@ -50,6 +50,12 @@ class TestTheoremBound:
         with pytest.raises(DomainError):
             theorem_bound(0, 1)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 64])
+    def test_zero_past_two_d_squared_is_exact(self, d):
+        # phi(t) >= sqrt(t / 2) > d for t > 2 d^2, where t is not factored
+        for t in range(max(1, 2 * d * d - 200), 2 * d * d + 200):
+            assert theorem_bound(d, t) == d // euler_phi(t), (d, t)
+
 
 class TestPresentation:
     def test_dimension_mismatch(self):
@@ -189,6 +195,12 @@ class TestSharpConstruction:
     def test_no_witness(self):
         with pytest.raises(DomainError):
             sharp_construction(1, 3)
+
+    @pytest.mark.parametrize("d", [0, -1, 65, 10**5])
+    def test_dimension_outside_cap_builds_nothing(self, d, monkeypatch):
+        monkeypatch.setattr(torus_rank, "companion_matrix", None)
+        with pytest.raises(DomainError, match=rf"dimension {d} outside \[1, 64\]"):
+            sharp_construction(d, 1)
 
     def test_attains_for_three_smallest_primes(self):
         for t in SHARP_T:

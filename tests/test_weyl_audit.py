@@ -43,7 +43,9 @@ class TestEnumerateWeyl:
                 assert lookup[composed] == a.matrix @ b.matrix
 
     def test_matrix_order_matches_permutation_order(self):
-        from cremona_bounds.intlinalg import matrix_order
+        from math import lcm
+
+        from cremona_bounds.intlinalg import finite_order_indices
 
         for e in enumerate_weyl():
             perm_order = 1
@@ -52,7 +54,7 @@ class TestEnumerateWeyl:
             while current != ident:
                 current = tuple(e.permutation[current[i]] for i in range(4))
                 perm_order += 1
-            assert matrix_order(e.matrix) == perm_order
+            assert lcm(*finite_order_indices(e.matrix)) == perm_order
 
     def test_indices_divide_invariant_degrees(self):
         for e in enumerate_weyl():
