@@ -10,13 +10,18 @@ Stride rule: a polynomial whose nonzero exponents are all multiples of k is
 f(X^k), and products and reductions mod p work on the compressed sequence f,
 then expand by k once (`compose_power`). Such operands are common here:
 Phi_n(X) = Phi_r(X^(n/r)) for the radical r of n, and the prime-power step
-Phi_{m p^f} = Phi_m^{phi(p^f)} mod p raises them to powers.
+Phi_{m p^f} = Phi_m^{phi(p^f)} mod p raises them to powers. Each polynomial
+keeps its stride, so a product takes the gcd of its operands' strides.
+
+Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
+word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
+slice assignments; the big-integer product still multiplies narrow digits.
 """
 
 import math
 import struct
 from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from operator import index, mul, sub
 
 from .errors import DomainError, Report, VerificationError
@@ -36,9 +41,10 @@ MAX_CYCLOTOMIC_INDEX = 10**6
 # dense random operands 6 is within 2% of the faster path; counting nonzeros
 # keeps sparse powers such as those of X^4096 + 1 off Kronecker substitution.
 _KRONECKER_BREAK_EVEN = 6
-# digit widths that struct packs and unpacks in C, 4-7 times faster than
-# int.to_bytes and int.from_bytes
-_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# struct code of the word that holds a digit of each width up to 8 bytes:
+# struct packs and unpacks words in C, 4-7 times faster than int.to_bytes
+# and int.from_bytes, and `_narrow` cuts the words down to the digits
+_WORD_CODES = {1: "B", 2: "H", 3: "I", 4: "I", 5: "Q", 6: "Q", 7: "Q", 8: "Q"}
 
 
 def _strip(coeffs):
@@ -48,12 +54,24 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
+def _narrow(raw, src, dst, count):
+    """count little-endian words of src bytes each, as words of dst bytes:
+    the low min(src, dst) bytes of each word are kept, the rest are zero."""
+    if src == dst:
+        return raw
+    out = bytearray(count * dst)
+    for i in range(min(src, dst)):
+        out[i::dst] = raw[i::src]
+    return out
+
+
 def _pack(coeffs, nbytes):
     """sum c_i * 2^(8*nbytes*i) for |c_i| < 2^(8*nbytes - 1)."""
     bias = 1 << (8 * nbytes - 1)
     code = _WORD_CODES.get(nbytes)
     if code:
         raw = struct.pack(f"<{len(coeffs)}{code}", *[c + bias for c in coeffs])
+        raw = _narrow(raw, struct.calcsize(code), nbytes, len(coeffs))
     else:
         raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
     biases = bias.to_bytes(nbytes, "little") * len(coeffs)
@@ -67,6 +85,7 @@ def _unpack(value, nbytes, count):
     raw = value.to_bytes(nbytes * count, "little")
     code = _WORD_CODES.get(nbytes)
     if code:
+        raw = _narrow(raw, nbytes, struct.calcsize(code), count)
         return [d - bias for d in struct.unpack(f"<{count}{code}", raw)]
     return [int.from_bytes(raw[i:i + nbytes], "little") - bias
             for i in range(0, len(raw), nbytes)]
@@ -94,17 +113,23 @@ def _convolve(a, b):
     return _unpack(packed * other, nbytes, count)
 
 
-def _stride(*seqs):
-    """The gcd k of the exponents of the nonzero coefficients of every sequence,
-    1 if they are all constants: each sequence s is then s[::k] in X^k."""
-    return math.gcd(*chain.from_iterable(compress(range(len(s)), s) for s in seqs)) or 1
+def _stride(coeffs):
+    """The gcd k of the exponents of the nonzero coefficients, 0 for a constant
+    or zero: coeffs is then coeffs[::k] in X^k. Stops at the first gcd of 1."""
+    k = 0
+    for e in compress(range(len(coeffs)), coeffs):
+        k = math.gcd(k, e)
+        if k == 1:
+            break
+    return k
 
 
 def _strided_product(a, b):
-    """(k, c) with k = _stride(a, b) and c the product of a[::k] and b[::k]."""
-    k = _stride(a) if a is b else _stride(a, b)
-    short = a[::k]
-    return k, _convolve(short, short if a is b else b[::k])
+    """(k, c) for polynomials a and b: k is the gcd of their strides, 1 if both
+    are constants, and c the product of their coefficients compressed by k."""
+    k = math.gcd(a.stride, b.stride) or 1
+    short = a.coeffs[::k]
+    return k, _convolve(short, short if a is b else b.coeffs[::k])
 
 
 def _power(x, n, one, product=mul):
@@ -124,7 +149,7 @@ def _power(x, n, one, product=mul):
 class _Poly:
     """Immutable coefficient tuple, ascending by power; zero is () of degree -1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_step")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -148,6 +173,14 @@ class _Poly:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    @property
+    def stride(self) -> int:
+        """`_stride` of the coefficients: set by `compose_power`, else scanned
+        for once, at the first call."""
+        if getattr(self, "_step", None) is None:
+            object.__setattr__(self, "_step", _stride(self.coeffs))
+        return self._step
+
     def _like(self, coeffs):
         """A polynomial of self's type on a normalised coefficient tuple, unchecked:
         products and expansions build their results from coefficients that
@@ -164,7 +197,9 @@ class _Poly:
             return self
         out = [0] * (k * self.degree + 1)
         out[::k] = self.coeffs
-        return self._like(tuple(out))
+        new = self._like(tuple(out))
+        object.__setattr__(new, "_step", k * self.stride)
+        return new
 
 
 class IntPoly(_Poly):
@@ -179,9 +214,11 @@ class IntPoly(_Poly):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __mul__(self, other):
+        if type(other) is not IntPoly:
+            return NotImplemented
         if not self or not other:
             return IntPoly()
-        k, short = _strided_product(self.coeffs, other.coeffs)
+        k, short = _strided_product(self, other)
         return self._like(_strip(short)).compose_power(k)
 
     def __pow__(self, n: int):
@@ -254,11 +291,13 @@ class ModPoly(_Poly):
         return self._like(_strip(map(self.p.__rmod__, coeffs)))
 
     def __mul__(self, other):
+        if type(other) is not ModPoly:
+            return NotImplemented
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if not self or not other:
             return ModPoly(self.p, ())
-        k, short = _strided_product(self.coeffs, other.coeffs)
+        k, short = _strided_product(self, other)
         return self._reduce(short).compose_power(k)
 
     def __pow__(self, n: int):
@@ -328,7 +367,7 @@ def verify_cyclotomic(n: int, poly: IntPoly) -> None:
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     """Coefficientwise reduction of an integer polynomial mod p."""
-    k = _stride(poly.coeffs)
+    k = poly.stride or 1
     return ModPoly(p)._reduce(poly.coeffs[::k]).compose_power(k)
 
 

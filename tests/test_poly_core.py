@@ -4,7 +4,8 @@
 reference kept here, on both sides of the schoolbook/Kronecker crossover,
 and with evaluation at random points for operands too long for the reference.
 Operands in X^k, which the core multiplies and reduces on their compressed
-coefficients, are built here by the test's own substitution `stretch`.
+coefficients, are built here by the test's own substitution `stretch`; the
+stride each result keeps is checked against a fresh scan.
 """
 
 import os
@@ -17,11 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cremona_bounds import cyclotomic
 from cremona_bounds.cyclotomic import (
     _KRONECKER_BREAK_EVEN,
     IntPoly,
     ModPoly,
+    _convolve,
+    _pack,
     _power,
+    _stride,
+    _unpack,
     cyclotomic_poly,
     reduce_mod,
 )
@@ -170,6 +176,59 @@ class TestModPolyCore:
             ModPoly(3, (1, 1)) * ModPoly(5, (1, 1))
 
 
+class TestMixedTypes:
+    """A product needs two polynomials of one type; anything else is a TypeError."""
+
+    def test_int_times_mod(self):
+        with pytest.raises(TypeError):
+            IntPoly([1, 1]) * ModPoly(3, [2, 2])
+
+    def test_mod_times_int(self):
+        with pytest.raises(TypeError):
+            ModPoly(3, [2, 2]) * IntPoly([1, 1])
+
+    def test_int_times_scalar(self):
+        with pytest.raises(TypeError):
+            IntPoly([1, 1]) * 3
+
+    def test_mod_times_scalar(self):
+        with pytest.raises(TypeError):
+            ModPoly(3, [2, 2]) * 2
+
+
+class TestKroneckerDigits:
+    """`_pack`/`_unpack` at every digit width, the struct words of 1-8 bytes
+    narrowed to the width and the to_bytes path above 8 bytes."""
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_round_trip(self, nbytes):
+        top = 2 ** (8 * nbytes - 1) - 1
+        for digits in ([0], [top], [-top], [0, top, -top, 1, -1, 0, top, 0],
+                       [-top, top, -top, 0]):
+            packed = _pack(digits, nbytes)
+            assert packed == sum(c << (8 * nbytes * i) for i, c in enumerate(digits))
+            assert _unpack(packed, nbytes, len(digits)) == digits
+
+    @pytest.mark.parametrize("nbytes", [3, 5, 6, 7, 9])
+    def test_convolve_matches_reference(self, nbytes, monkeypatch):
+        widths = []
+
+        def spy(coeffs, width):
+            widths.append(width)
+            return _pack(coeffs, width)
+
+        monkeypatch.setattr(cyclotomic, "_pack", spy)
+        rng = random.Random(nbytes)
+        k = 16  # dense, so 16 * 16 products take Kronecker substitution
+        # the digit bound k * top^2 then has 8 * nbytes - 3 or 8 * nbytes - 2 bits
+        m = 4 * nbytes - 3
+        top = 2**m - 1
+        a = [top, -top] + [rng.randrange(-top, top + 1) or 1 for _ in range(k - 2)]
+        b = [-top] + [rng.randrange(-top, top + 1) or 1 for _ in range(k - 2)] + [top]
+        assert _convolve(a, b) == list(reference_mul(a, b))
+        assert widths == [nbytes, nbytes]
+
+
 class TestLongOperands:
     @pytest.mark.parametrize("p", [2, 13, 2**31 - 1])
     def test_long_times_short(self, p):
@@ -309,6 +368,59 @@ class TestStrideRule:
         expected = strip_mod(s, reference_pow(base, s - 1))
         assert reduce_mod(cyclotomic_poly(n * s), s).coeffs == expected
         assert (reduce_mod(cyclotomic_poly(n), s) ** (s - 1)).coeffs == expected
+
+
+# f(X^k) with zero, constants and short sequences among f, k from 1 to 6
+strided = st.builds(stretch, st.lists(st.integers(-3, 3), max_size=6), st.integers(1, 6))
+
+
+def exact(poly, coeffs):
+    """poly has the coefficients coeffs, and its stride is the scanned one."""
+    assert poly.coeffs == tuple(coeffs)
+    assert poly.stride == _stride(poly.coeffs)
+
+
+class TestStoredStride:
+    """The stride a polynomial keeps, set by `compose_power` or scanned once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=strided, b=strided, j=st.integers(1, 4), n=st.integers(0, 4),
+           p=st.sampled_from((2, 3, 13)))
+    def test_kept_stride_is_exact(self, a, b, j, n, p):
+        f, g = IntPoly(a).compose_power(j), IntPoly(b)
+        exact(f, stretch(IntPoly(a).coeffs, j))
+        prod = f * g
+        exact(prod, reference_mul(f.coeffs, g.coeffs))
+        exact(f**n, reference_pow(f.coeffs, n))
+        fbar, gbar = reduce_mod(prod, p), reduce_mod(g, p).compose_power(j)
+        exact(fbar, strip_mod(p, prod.coeffs))
+        exact(gbar, strip_mod(p, stretch(g.coeffs, j)))
+        exact(fbar * gbar, mod_reference(p, fbar.coeffs, gbar.coeffs))
+        exact(gbar**n, strip_mod(p, reference_pow(gbar.coeffs, n)))
+
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    def test_constant_keeps_the_other_stride(self, k):
+        f = IntPoly(stretch([3, 0, -1, 4], k))
+        for c in (IntPoly((7,)), IntPoly((7,)).compose_power(5)):
+            assert c.stride == 0
+            assert (c * f).stride == (f * c).stride == f.stride == k
+        assert IntPoly().stride == IntPoly((7,)).stride == 0
+
+    def test_expanded_power_is_never_scanned(self, monkeypatch):
+        # Phi_16807 = Phi_7(X^2401) has 14,407 coefficients; its stride comes
+        # from compose_power, and the products work on 7 to 13 coefficients
+        lengths_seen = []
+
+        def spy(coeffs):
+            lengths_seen.append(len(coeffs))
+            return _stride(coeffs)
+
+        monkeypatch.setattr(cyclotomic, "_stride", spy)
+        cyclotomic_poly.cache_clear()
+        phi = cyclotomic_poly(16807)
+        square = reduce_mod(phi, 3) ** 2
+        assert lengths_seen and max(lengths_seen) < 100
+        assert square.coeffs == strip_mod(3, reference_pow(phi.coeffs, 2))
 
 
 class CountingPoly:
