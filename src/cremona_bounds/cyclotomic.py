@@ -16,13 +16,16 @@ keeps its stride, so a product takes the gcd of its operands' strides.
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
 slice assignments; the big-integer product still multiplies narrow digits.
+
+A squarefree Phi_n multiplies out its numerator on one packed integer and
+divides per residue class or per block of coefficients, whichever is fewer.
 """
 
 import math
 import struct
 from functools import lru_cache
 from itertools import accumulate, compress
-from operator import index, mul, sub
+from operator import add, index, mul
 
 from .errors import DomainError, Report, VerificationError
 from .numth import (
@@ -65,6 +68,11 @@ def _narrow(raw, src, dst, count):
     return out
 
 
+def _biases(nbytes, count):
+    """count packed digits 2^(8*nbytes - 1): adding them makes signed digits nonnegative."""
+    return int.from_bytes((1 << 8 * nbytes - 1).to_bytes(nbytes, "little") * count, "little")
+
+
 def _pack(coeffs, nbytes):
     """sum c_i * 2^(8*nbytes*i) for |c_i| < 2^(8*nbytes - 1)."""
     bias = 1 << (8 * nbytes - 1)
@@ -74,14 +82,13 @@ def _pack(coeffs, nbytes):
         raw = _narrow(raw, struct.calcsize(code), nbytes, len(coeffs))
     else:
         raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
-    biases = bias.to_bytes(nbytes, "little") * len(coeffs)
-    return int.from_bytes(raw, "little") - int.from_bytes(biases, "little")
+    return int.from_bytes(raw, "little") - _biases(nbytes, len(coeffs))
 
 
 def _unpack(value, nbytes, count):
     """Inverse of `_pack`: the count signed nbytes-wide digits of value."""
     bias = 1 << (8 * nbytes - 1)
-    value += int.from_bytes(bias.to_bytes(nbytes, "little") * count, "little")
+    value += _biases(nbytes, count)
     raw = value.to_bytes(nbytes * count, "little")
     code = _WORD_CODES.get(nbytes)
     if code:
@@ -111,6 +118,23 @@ def _convolve(a, b):
     packed = _pack(a, nbytes)
     other = packed if a is b else _pack(b, nbytes)
     return _unpack(packed * other, nbytes, count)
+
+
+def _truncated_numerator(degrees, size):
+    """The size coefficients of prod_{d in degrees} (1 - X^d) mod X^size, on
+    the series' value at X = 2^(8*nbytes): a shift and a subtraction per
+    factor, and a truncation that adds the digits' biases, masks and takes
+    them off. With k factors the l1 norm is at most 2^k and c_0 = 1, so
+    nbytes = k // 8 + 1 signed bytes hold every digit."""
+    nbytes = len(degrees) // 8 + 1
+    shift = 8 * nbytes
+    mask = (1 << shift * size) - 1
+    biases = _biases(nbytes, size)
+    value = 1
+    for d in degrees:
+        value -= value << shift * d
+        value = ((value + biases) & mask) - biases
+    return _unpack(value, nbytes, size)
 
 
 def _stride(coeffs):
@@ -317,8 +341,11 @@ def cyclotomic_poly(n: int) -> IntPoly:
     A squarefree index n > 1 uses the sparse product
     Phi_n = prod_{d|n} (1 - X^d)^mu(n/d) of Arnold & Monagan, "Calculating
     cyclotomic polynomials", Math. Comp. 80 (2011), as power series truncated
-    past degree phi(n); a non-squarefree index n reduces to its radical r via
-    Phi_n(X) = Phi_r(X^(n/r)).
+    past degree phi(n): the factors with mu = +1 are shifts and subtractions
+    of one packed integer (`_truncated_numerator`), and each 1 / (1 - X^d) is
+    running sums, per residue class mod d or per block of d coefficients,
+    whichever takes fewer Python steps. A non-squarefree index n reduces to
+    its radical r via Phi_n(X) = Phi_r(X^(n/r)).
     """
     if not isinstance(n, int) or n < 1 or n > MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"cyclotomic index out of range [1, 10^6]: {n!r}")
@@ -333,18 +360,15 @@ def cyclotomic_poly(n: int) -> IntPoly:
     for q in primes:
         terms += [(d * q, odd ^ 1) for d, odd in terms]
     size = euler_phi(n) + 1
-    coeffs = [1] + [0] * (size - 1)
-    # multiplications (mu = +1) first; a factor 1 - X^d with d >= size leaves
-    # the truncated series as it is
-    for d, odd in sorted(terms, key=lambda term: term[1]):
-        if d >= size:
-            continue
-        if not odd:
-            coeffs[d:] = map(sub, coeffs[d:], coeffs)
-        else:
-            # 1 / (1 - X^d): running sums along each residue class mod d
+    # a factor 1 - X^d with d >= size leaves the truncated series as it is
+    coeffs = _truncated_numerator([d for d, odd in terms if not odd and d < size], size)
+    for d in [d for d, odd in terms if odd and d < size]:
+        if d * d < size:  # d classes, against size / d blocks
             for i in range(d):
                 coeffs[i::d] = accumulate(coeffs[i::d])
+        else:
+            for j in range(d, size, d):
+                coeffs[j:j + d] = map(add, coeffs[j:j + d], coeffs[j - d:j])
     return IntPoly(coeffs)
 
 
@@ -398,14 +422,20 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int) -> dict:
     """{eps: multiplicity of eps as a root of poly mod p} over the order-t residues.
 
     Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
-    of the coefficients of degree r mod t: the slice sums are taken once, on
-    the integer coefficients, and shared by every residue. Only an actual
+    of the coefficients of degree r mod t, taken once on the compressed
+    coefficients (stride rule) and shared by every residue. Only an actual
     root pays for the reduction of poly mod p and the synthetic division.
     """
     residues = residues_of_order(p, t)
-    coeffs = poly.coeffs
-    # S_r = 0 for r > deg poly, so evaluation costs min(t, deg + 1) steps
-    sums = [sum(coeffs[r::t]) % p for r in range(min(t, len(coeffs)))][::-1]
+    # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
+    # the other S_r are 0, and evaluation costs min(t, deg + 1) steps
+    k = poly.stride or 1
+    short = poly.coeffs[::k]
+    step = t // math.gcd(k, t)
+    sums = [0] * min(t, len(poly.coeffs))
+    for j in range(min(step, len(short))):
+        sums[j * k % t] = sum(short[j::step]) % p
+    sums.reverse()
     mults = {}
     pbar = None
     for eps in residues:
@@ -461,8 +491,8 @@ def verify_lemma_range(n_max: int, primes) -> Report:
 
     Failures land in the counterexample list; none are expected.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
+        raise DomainError(f"n_max out of range [1, 10^6]: {n_max}")
     primes = tuple(sorted({check_prime(p) for p in primes}))
     report = Report(n_max=n_max, primes=list(primes), checks_run=0,
                     counterexamples=[])

@@ -139,6 +139,14 @@ class TestLemma:
         assert out == ""
         assert "bad prime list '2,x'" in err
 
+    def test_max_n_past_index_cap_exits_2_at_once(self, capsys):
+        # the sweep would build every Phi_n up to 10^6 before reaching n = 10^6 + 1
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "lemma", "--max-n", "1000001", "--primes", "2")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert "domain error" in err
+
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: 0)
         results = failed_check(capsys, "lemma", "--max-n", "1", "--primes", "3")

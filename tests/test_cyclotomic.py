@@ -2,6 +2,8 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -107,6 +109,28 @@ def _division_reference(n):
     return quot
 
 
+@lru_cache(maxsize=None)
+def _lift_reference(n):
+    """Slow reference for squarefree n: Phi_n(X) = Phi_m(X^q) / Phi_m(X) by
+    exact long division, q the largest prime of n and m = n / q. Far cheaper
+    than `_division_reference` at n in the thousands."""
+    if n == 1:
+        return IntPoly((-1, 1))
+    q = factorize(n)[-1][0]
+    base = _lift_reference(n // q)
+    quot, rem = base.compose_power(q).divmod_monic(base)
+    assert not rem
+    return quot
+
+
+def _numerator_reference(degrees, size):
+    """prod (1 - X^d) mod X^size, one list pass per factor."""
+    coeffs = [1] + [0] * (size - 1)
+    for d in degrees:
+        coeffs[d:] = map(sub, coeffs[d:], coeffs)
+    return coeffs
+
+
 # sympy's expansion time grows with the square of the degree (about 1.5 s at
 # Phi_30030 and 30 s at a prime near 30030), so draws stay at phi(n) <= 2000
 SYMPY_INDICES = [
@@ -198,6 +222,63 @@ class TestCyclotomicPoly:
         assert poly.coeffs == poly.coeffs[::-1]
         assert poly(1) == 1
         assert elapsed < 10.0
+
+
+class TestTruncatedNumerator:
+    """The mu = +1 factors of the sparse product on one packed integer, at
+    k // 8 + 1 bytes per digit for k factors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(degrees=st.lists(st.integers(1, 40), min_size=1, max_size=63),
+           size=st.integers(1, 120))
+    # (1 - X)^k, coefficients up to C(k, k // 2), at the first and last k of each width
+    @example(degrees=[1] * 7, size=8)
+    @example(degrees=[1] * 8, size=9)
+    @example(degrees=[1] * 15, size=16)
+    @example(degrees=[1] * 16, size=17)
+    @example(degrees=[1] * 31, size=32)
+    @example(degrees=[1] * 32, size=33)
+    @example(degrees=[1] * 63, size=64)
+    @example(degrees=[2, 3, 5] * 21, size=120)
+    def test_matches_list_product(self, degrees, size):
+        with mock.patch.object(cyclotomic, "_unpack", wraps=cyclotomic._unpack) as spy:
+            coeffs = cyclotomic._truncated_numerator(degrees, size)
+        assert coeffs == _numerator_reference(degrees, size)
+        spy.assert_called_once_with(mock.ANY, len(degrees) // 8 + 1, size)
+
+    def test_phi_510510(self):
+        # 7 primes: 63 packed factors below phi(n) + 1, on 8-byte struct digits
+        n, size = 510510, euler_phi(510510) + 1
+        degrees = [d for d in divisors(n) if d < size and len(factorize(n // d)) % 2 == 0]
+        assert len(degrees) == 63
+        with mock.patch.object(cyclotomic, "_unpack", wraps=cyclotomic._unpack) as spy:
+            coeffs = cyclotomic._truncated_numerator(degrees, size)
+        assert coeffs == _numerator_reference(degrees, size)
+        spy.assert_called_once_with(mock.ANY, 8, size)
+
+
+class TestDivisionLoops:
+    def test_both_loops_match_lift_reference(self, monkeypatch):
+        # 1 / (1 - X^d) runs per residue class for d^2 < phi(n) + 1, else per block
+        loops = {"class": 0, "block": 0}
+        real_accumulate = cyclotomic.accumulate
+
+        def accumulate_spy(values):
+            loops["class"] += 1
+            return real_accumulate(values)
+
+        def add_spy(x, y):
+            loops["block"] += 1
+            return x + y
+
+        monkeypatch.setattr(cyclotomic, "accumulate", accumulate_spy)
+        monkeypatch.setattr(cyclotomic, "add", add_spy)
+        indices = [n for n in range(2, 6007)
+                   if len(factorize(n)) >= 4 and all(e == 1 for _, e in factorize(n))]
+        assert len(indices) == 229
+        for n in indices:
+            assert cyclotomic_poly.__wrapped__(n) == _lift_reference(n), n
+        assert loops["class"] and loops["block"]
 
 
 class TestReduceMod:
@@ -347,6 +428,33 @@ class TestResidueMultiplicities:
         with pytest.raises(DomainError):
             residue_multiplicities(IntPoly((5, 10)), 5, 4)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.sampled_from([(p, t, s) for p in (5, 7, 13, 31, 37)
+                             for t in divisors(p - 1) for s in divisors(p - 1)]),
+        k=st.integers(1, 12),
+        f=st.lists(st.integers(-20, 20), max_size=10),
+        j=st.integers(0, 2),
+    )
+    # gcd(k, t) = 1, gcd(k, t) = t, and a gcd strictly between
+    @example(pts=(13, 12, 4), k=5, f=[1, 2], j=1)
+    @example(pts=(13, 4, 2), k=8, f=[3, 1], j=1)
+    @example(pts=(37, 12, 3), k=8, f=[1, -1, 1], j=2)
+    # a constant, one that vanishes mod p, and the zero polynomial
+    @example(pts=(7, 3, 1), k=3, f=[4], j=0)
+    @example(pts=(7, 6, 1), k=3, f=[14], j=0)
+    @example(pts=(7, 3, 1), k=3, f=[], j=0)
+    def test_compressed_slice_sums(self, pts, k, f, j):
+        # poly = g(X^k) has stride a multiple of k; planting Phi_s^j before the
+        # substitution makes every eps with eps^k of order s a root
+        p, t, s = pts
+        poly = (IntPoly(f) * cyclotomic_poly(s) ** j).compose_power(k)
+        if not reduce_mod(poly, p):
+            with pytest.raises(DomainError):
+                residue_multiplicities(poly, p, t)
+            return
+        assert residue_multiplicities(poly, p, t) == _residue_reference(poly, p, t)
+
     @settings(max_examples=200, deadline=None)
     @given(
         p=st.sampled_from([3, 5, 7, 11, 13, 31]),
@@ -481,5 +589,7 @@ class TestVerifyLemmaRange:
     def test_bad_args(self):
         with pytest.raises(DomainError):
             verify_lemma_range(0, {2})
+        with pytest.raises(DomainError):
+            verify_lemma_range(10**6 + 1, {2})
         with pytest.raises(DomainError):
             verify_lemma_range(5, {4})
