@@ -16,6 +16,8 @@ keeps its stride, so a product takes the gcd of its operands' strides.
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
 slice assignments; the big-integer product still multiplies narrow digits.
+Integer digits are signed and packed with a bias; residues mod p are unsigned
+digits, at most nonzero * (p - 1)^2 in a product, reduced mod p once unpacked.
 
 A squarefree Phi_n multiplies out its numerator on one packed integer and
 divides per residue class or per block of coefficients, whichever is fewer.
@@ -73,51 +75,64 @@ def _biases(nbytes, count):
     return int.from_bytes((1 << 8 * nbytes - 1).to_bytes(nbytes, "little") * count, "little")
 
 
-def _pack(coeffs, nbytes):
-    """sum c_i * 2^(8*nbytes*i) for |c_i| < 2^(8*nbytes - 1)."""
-    bias = 1 << (8 * nbytes - 1)
+def _pack(coeffs, nbytes, signed=True):
+    """sum c_i * 2^(8*nbytes*i) for signed digits |c_i| < 2^(8*nbytes - 1), each
+    biased in the packing, or for unsigned digits 0 <= c_i < 2^(8*nbytes)."""
+    bias = 1 << 8 * nbytes - 1 if signed else 0
+    if bias:
+        coeffs = [c + bias for c in coeffs]
     code = _WORD_CODES.get(nbytes)
     if code:
-        raw = struct.pack(f"<{len(coeffs)}{code}", *[c + bias for c in coeffs])
+        raw = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
         raw = _narrow(raw, struct.calcsize(code), nbytes, len(coeffs))
     else:
-        raw = b"".join((c + bias).to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - _biases(nbytes, len(coeffs))
+        raw = b"".join(c.to_bytes(nbytes, "little") for c in coeffs)
+    value = int.from_bytes(raw, "little")
+    return value - _biases(nbytes, len(coeffs)) if bias else value
 
 
-def _unpack(value, nbytes, count):
-    """Inverse of `_pack`: the count signed nbytes-wide digits of value."""
-    bias = 1 << (8 * nbytes - 1)
-    value += _biases(nbytes, count)
+def _unpack(value, nbytes, count, signed=True):
+    """Inverse of `_pack`: the count nbytes-wide digits of value."""
+    bias = 1 << 8 * nbytes - 1 if signed else 0
+    if bias:
+        value += _biases(nbytes, count)
     raw = value.to_bytes(nbytes * count, "little")
     code = _WORD_CODES.get(nbytes)
     if code:
         raw = _narrow(raw, nbytes, struct.calcsize(code), count)
-        return [d - bias for d in struct.unpack(f"<{count}{code}", raw)]
-    return [int.from_bytes(raw[i:i + nbytes], "little") - bias
-            for i in range(0, len(raw), nbytes)]
+        digits = struct.unpack(f"<{count}{code}", raw)
+    else:
+        digits = [int.from_bytes(raw[i:i + nbytes], "little")
+                  for i in range(0, len(raw), nbytes)]
+    return [d - bias for d in digits] if bias else digits
 
 
-def _convolve(a, b):
-    """Product of two nonzero integer coefficient sequences."""
+def _convolve(a, b, p=None):
+    """Product of two nonzero coefficient sequences: of integers, as a list,
+    or of residues in [0, p), reduced mod p into a tuple."""
     count = len(a) + len(b) - 1
     nonzero = len(a) - a.count(0)
     if nonzero > len(b) - b.count(0):
         a, b, nonzero = b, a, len(b) - b.count(0)
+    signed = p is None
     # the schoolbook loop makes one pass over b per nonzero coefficient of a
     if nonzero * len(b) < _KRONECKER_BREAK_EVEN * (len(a) + len(b)):
-        out = [0] * count
+        digits = [0] * count
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return out
-    # every output coefficient is a sum of at most `nonzero` products
-    bound = nonzero * max(map(abs, a)) * max(map(abs, b))
-    nbytes = bound.bit_length() // 8 + 1
-    packed = _pack(a, nbytes)
-    other = packed if a is b else _pack(b, nbytes)
-    return _unpack(packed * other, nbytes, count)
+                    digits[j] += x * y
+    else:
+        # every output coefficient is a sum of at most `nonzero` products; those
+        # of residues are nonnegative and fill the digit's top bit too
+        if signed:
+            nbytes = (nonzero * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1
+        else:
+            nbytes = ((nonzero * (p - 1) ** 2).bit_length() + 7) // 8
+        packed = _pack(a, nbytes, signed)
+        other = packed if a is b else _pack(b, nbytes, signed)
+        digits = _unpack(packed * other, nbytes, count, signed)
+    return digits if signed else tuple(map(p.__rmod__, digits))
 
 
 def _truncated_numerator(degrees, size):
@@ -148,12 +163,12 @@ def _stride(coeffs):
     return k
 
 
-def _strided_product(a, b):
+def _strided_product(a, b, p=None):
     """(k, c) for polynomials a and b: k is the gcd of their strides, 1 if both
-    are constants, and c the product of their coefficients compressed by k."""
+    are constants, and c the `_convolve` of their coefficients compressed by k."""
     k = math.gcd(a.stride, b.stride) or 1
     short = a.coeffs[::k]
-    return k, _convolve(short, short if a is b else b.coeffs[::k])
+    return k, _convolve(short, short if a is b else b.coeffs[::k], p)
 
 
 def _power(x, n, one, product=mul):
@@ -242,8 +257,9 @@ class IntPoly(_Poly):
             return NotImplemented
         if not self or not other:
             return IntPoly()
+        # the leading coefficient is a product of nonzero ones: nothing to strip
         k, short = _strided_product(self, other)
-        return self._like(_strip(short)).compose_power(k)
+        return self._like(tuple(short)).compose_power(k)
 
     def __pow__(self, n: int):
         return _power(self, n, IntPoly((1,)))
@@ -321,8 +337,9 @@ class ModPoly(_Poly):
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if not self or not other:
             return ModPoly(self.p, ())
-        k, short = _strided_product(self, other)
-        return self._reduce(short).compose_power(k)
+        # residues mod a prime: the leading coefficient is nonzero as well
+        k, short = _strided_product(self, other, self.p)
+        return self._like(short).compose_power(k)
 
     def __pow__(self, n: int):
         return _power(self, n, ModPoly(self.p, (1,)))

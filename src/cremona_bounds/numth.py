@@ -1,4 +1,7 @@
-"""Elementary number theory helpers: primality, totient, orders, divisors."""
+"""Elementary number theory helpers: primality, totient, orders, divisors.
+
+Factorization is trial division; the order-t residues mod p factor t only.
+"""
 
 import math
 from functools import lru_cache
@@ -115,25 +118,25 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-def primitive_root(p: int) -> int:
-    """Smallest generator of (Z/p)*."""
-    check_prime(p)
-    if p == 2:
-        return 1
-    # g generates iff g^((p-1)/q) != 1 for every prime q dividing p - 1
-    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in cofactors):
-            return g
-    raise VerificationError(f"no primitive root found mod {p}")  # unreachable
-
-
 def residues_of_order(p: int, t: int) -> list:
-    """All residues of exact multiplicative order t in (Z/p)*, ascending."""
+    """All residues of exact multiplicative order t in (Z/p)*, ascending.
+
+    For a = 1, 2, ..., base = a^((p-1)/t) has order t iff base^(t/q) != 1 for
+    every prime q | t, and the powers base^k with gcd(k, t) = 1 are then all
+    of them: p - 1 is never factored. The scan ends by the smallest
+    primitive root, and a share phi(t)/t of all a in [1, p) succeeds.
+    """
     check_order_divides(p, t)
-    g = primitive_root(p)
-    base = pow(g, (p - 1) // t, p)
-    return sorted(pow(base, k, p) for k in range(1, t + 1) if math.gcd(k, t) == 1)
+    e = (p - 1) // t
+    cofactors = [t // q for q, _ in factorize(t)]
+    for a in range(1, p):
+        base = pow(a, e, p)
+        for c in cofactors:
+            if pow(base, c, p) == 1:
+                break
+        else:
+            return sorted(pow(base, k, p) for k in range(1, t + 1) if math.gcd(k, t) == 1)
+    raise VerificationError(f"no residue of order {t} found mod {p}")  # unreachable
 
 
 def prime_power_decomposition(q: int):

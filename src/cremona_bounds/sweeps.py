@@ -26,6 +26,9 @@ from .torus_rank import fixed_point_rank, sharp_construction
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 SWEEP_P = (2, 3, 5, 7, 11, 13)
 SHARP_T = (1, 2, 3, 4, 6)
+# tori per oracle sweep; 1,000 take about 2 s on a 2-vCPU machine, and a
+# larger count raises DomainError before any torus is drawn
+MAX_SWEEP_COUNT = 5000
 
 
 def oracle_checks(tor: FiniteFieldTorus, primes) -> tuple:
@@ -75,6 +78,8 @@ def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6) -
 
     if count < 1:
         raise DomainError(f"the sweep needs at least one torus, got count = {count}")
+    if count > MAX_SWEEP_COUNT:
+        raise DomainError(f"the sweep takes at most {MAX_SWEEP_COUNT} tori, got count = {count}")
     ps = sorted(check_prime(p) for p in ps)
     qs = sorted(check_field_size(q) for q in qs)
     if not any(q % p for q in qs for p in ps):

@@ -350,6 +350,14 @@ class TestOracle:
         assert out == ""
         assert "domain error" in err
 
+    @pytest.mark.parametrize("count", [5001, 10**8])
+    def test_count_past_cap_exits_2_at_once(self, capsys, count):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--count", str(count), "--seed", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert "domain error" in err
+
     def test_sweep_deterministic(self, capsys):
         _, out1, _ = run(
             capsys, "oracle", "--count", "4", "--seed", "9", "--format", "json"

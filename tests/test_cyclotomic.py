@@ -28,7 +28,6 @@ from cremona_bounds.numth import (
     factorize,
     is_prime,
     multiplicative_order,
-    primitive_root,
     residues_of_order,
 )
 
@@ -312,6 +311,15 @@ class TestMultiplicativeOrder:
                 assert (p - 1) % multiplicative_order(a, p) == 0
 
 
+def primitive_root(p: int) -> int:
+    """Smallest generator of (Z/p)*: the reference for the order-t residues,
+    which are the powers g^((p-1)/t * k) with gcd(k, t) = 1."""
+    if p == 2:
+        return 1
+    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in cofactors))
+
+
 class TestPrimitiveRoot:
     def test_smallest_generator(self):
         for p in filter(is_prime, range(3, 2000)):
@@ -323,12 +331,51 @@ class TestPrimitiveRoot:
         assert primitive_root(2) == 1
 
     def test_no_order_per_candidate(self, monkeypatch):
+        # the residues need the primes of t, never those of p - 1
+        p = 2**31 - 1
+        factored = []
+
         def forbidden(a, p):
             raise AssertionError("multiplicative_order called")
 
+        def factorize_spy(n):
+            factored.append(n)
+            return factorize(n)
+
         monkeypatch.setattr(numth, "multiplicative_order", forbidden)
-        assert primitive_root(2**31 - 1) == 7
-        assert residues_of_order(13, 12) == [2, 6, 7, 11]
+        monkeypatch.setattr(numth, "factorize", factorize_spy)
+        base = pow(primitive_root(p), (p - 1) // 6, p)
+        assert residues_of_order(p, 6) == sorted([base, pow(base, 5, p)])
+        assert residues_of_order(13, 4) == [5, 8]
+        assert factored == [6, 4]
+
+
+class TestResiduesOfOrder:
+    def test_matches_brute_force(self):
+        for p in filter(is_prime, range(2, 2000)):
+            by_order = {}
+            for a in range(1, p):
+                by_order.setdefault(multiplicative_order(a, p), []).append(a)
+            for t in divisors(p - 1):
+                assert residues_of_order(p, t) == by_order[t], (p, t)
+
+    # 2147483579 is a safe prime, (p - 1) / 2 is prime: only t = 1, 2 divide p - 1
+    @pytest.mark.parametrize("p,t", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 - 1, 3),
+                                     (2**31 - 1, 6), (2147483579, 1), (2147483579, 2)])
+    def test_large_prime_at_once(self, p, t, monkeypatch):
+        factored = []
+
+        def factorize_spy(n):
+            factored.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(numth, "factorize", factorize_spy)
+        start = time.perf_counter()
+        residues = residues_of_order(p, t)
+        assert time.perf_counter() - start < 1.0
+        assert factored == [t]
+        assert len(residues) == euler_phi(t)
+        assert all(multiplicative_order(eps, p) == t for eps in residues)
 
 
 def _shift_multiplicity(pbar: ModPoly, eps: int) -> int:

@@ -213,9 +213,9 @@ class TestKroneckerDigits:
     def test_convolve_matches_reference(self, nbytes, monkeypatch):
         widths = []
 
-        def spy(coeffs, width):
+        def spy(coeffs, width, *signed):
             widths.append(width)
-            return _pack(coeffs, width)
+            return _pack(coeffs, width, *signed)
 
         monkeypatch.setattr(cyclotomic, "_pack", spy)
         rng = random.Random(nbytes)
@@ -227,6 +227,65 @@ class TestKroneckerDigits:
         b = [-top] + [rng.randrange(-top, top + 1) or 1 for _ in range(k - 2)] + [top]
         assert _convolve(a, b) == list(reference_mul(a, b))
         assert widths == [nbytes, nbytes]
+
+
+class TestUnsignedDigits:
+    """`ModPoly` products pack residues in [0, p) as unsigned digits, wide
+    enough for nonzero * (p - 1)^2, and reduce the unpacked digits mod p;
+    they are compared with a schoolbook product reduced mod p afterwards."""
+
+    # digits of 1, 2 and 3 bytes, of 4 bytes for longer operands mod 257,
+    # of 5 bytes in 8-byte words, and wider than 8 bytes
+    PRIMES = (2, 3, 13, 251, 257, 65521, 65537, 2**31 - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_reference(self, data):
+        p = data.draw(st.sampled_from(self.PRIMES))
+        rng = data.draw(st.randoms(use_true_random=False))
+
+        def operand():
+            # random length and density, or every coefficient p - 1, which
+            # makes the middle product digit reach the digit bound exactly
+            n = rng.choice((rng.randint(1, 12), rng.randint(13, 80), rng.randint(250, 320)))
+            if rng.random() < 0.2:
+                coeffs = [p - 1] * n
+            else:
+                density = rng.random()
+                coeffs = [rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+            return stretch(coeffs, rng.choice((1, 1, 2, 3)))
+
+        a = operand()
+        f = ModPoly(p, a)
+        if rng.random() < 0.3:
+            b, g = a, f  # a square: one packed operand
+        else:
+            b = operand()
+            g = ModPoly(p, b)
+        product = f * g
+        assert product.coeffs == mod_reference(p, a, b)
+        assert product.stride == _stride(product.coeffs)
+
+    @pytest.mark.parametrize("p,n,nbytes", [
+        (2, 40, 1), (3, 40, 1), (13, 40, 2), (251, 40, 3), (257, 300, 4),
+        (65537, 40, 5), (1048573, 40, 6), (16777213, 40, 7), (268435399, 40, 8),
+        (2**31 - 1, 40, 9),
+    ])
+    def test_digit_bound_is_reached(self, p, n, nbytes, monkeypatch):
+        # the middle digit of (p - 1, ..., p - 1)^2 is n * (p - 1)^2, the bound
+        widths = []
+
+        def spy(coeffs, width, *signed):
+            widths.append((width, *signed))
+            return _pack(coeffs, width, *signed)
+
+        monkeypatch.setattr(cyclotomic, "_pack", spy)
+        a = [p - 1] * n
+        f = ModPoly(p, a)
+        assert (f * f).coeffs == mod_reference(p, a, a)
+        assert (f * ModPoly(p, a + [1])).coeffs == mod_reference(p, a, a + [1])
+        assert widths == [(nbytes, False)] * 3
+        assert (n * (p - 1) ** 2).bit_length() > 8 * nbytes - 8
 
 
 class TestLongOperands:

@@ -8,6 +8,7 @@ from cremona_bounds.ff_oracle import FiniteFieldTorus, group_order
 from cremona_bounds.numth import euler_phi, is_prime
 from cremona_bounds.sampling import random_finite_order_matrix
 from cremona_bounds.sweeps import (
+    MAX_SWEEP_COUNT,
     SHARP_T,
     SWEEP_P,
     oracle_checks,
@@ -74,6 +75,15 @@ class TestRunOracleSweep:
         kwargs = {"count": 1, **kwargs}
         with pytest.raises(DomainError):
             run_oracle_sweep(seed=0, **kwargs)
+
+    def test_count_past_cap_rejected_before_any_torus(self, monkeypatch):
+        def forbidden(rng, d):
+            raise AssertionError("a torus was drawn")
+
+        monkeypatch.setattr("cremona_bounds.sampling.random_finite_order_matrix", forbidden)
+        for count in (MAX_SWEEP_COUNT + 1, 10**8):
+            with pytest.raises(DomainError, match="at most 5000"):
+                run_oracle_sweep(count, seed=1)
 
 
 class TestSmallestPrimeWithOrderDivisor:
