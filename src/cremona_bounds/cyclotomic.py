@@ -9,8 +9,8 @@ whole package it uses only the standard library. Cyclotomic indices up to
 Stride rule: a polynomial whose nonzero exponents are all multiples of k is
 f(X^k), and products and reductions mod p work on the compressed sequence f,
 then expand by k once (`compose_power`). Such operands are common here:
-Phi_n(X) = Phi_r(X^(n/r)) for the radical r of n, and the prime-power step
-Phi_{m p^f} = Phi_m^{phi(p^f)} mod p raises them to powers. Each polynomial
+Phi_n(X) = Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of
+Phi_{m p^f} mod p multiplies by Phi_m(X^(p^(f-1))). Each polynomial
 keeps its stride, so a product takes the gcd of its operands' strides.
 
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
@@ -31,7 +31,6 @@ from operator import add, index, mul
 
 from .errors import DomainError, Report, VerificationError
 from .numth import (
-    check_order_divides,
     check_prime,
     divisors,
     euler_phi,
@@ -435,15 +434,15 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
         coeffs = quot[:-1]
 
 
-def residue_multiplicities(poly: IntPoly, p: int, t: int) -> dict:
-    """{eps: multiplicity of eps as a root of poly mod p} over the order-t residues.
+def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
+    """{eps: multiplicity of eps as a root of poly mod p} over residues, the
+    order-t residues mod p from `residues_of_order(p, t)`, built once per (p, t).
 
     Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
     of the coefficients of degree r mod t, taken once on the compressed
     coefficients (stride rule) and shared by every residue. Only an actual
     root pays for the reduction of poly mod p and the synthetic division.
     """
-    residues = residues_of_order(p, t)
     # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
     # the other S_r are 0, and evaluation costs min(t, deg + 1) steps
     k = poly.stride or 1
@@ -468,6 +467,15 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int) -> dict:
     return mults
 
 
+def _p_free(n: int, p: int) -> tuple:
+    """(m, f) with n = m * p^f and p not dividing m; (0, 0) for n = 0, not a loop."""
+    f = 0
+    while n and n % p == 0:
+        n //= p
+        f += 1
+    return n, f
+
+
 def order_t_multiplicity(n: int, p: int, t: int) -> int:
     """Common multiplicity of every order-t residue as a root of Phi_n mod p.
 
@@ -475,13 +483,9 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     the residue sweep then runs on the p-free part. Fails loudly if the
     order-t residues disagree.
     """
-    check_order_divides(p, t)  # before any work on n
-    f = 0
-    n0 = n  # validated by cyclotomic_poly below
-    while n0 and n0 % p == 0:
-        n0 //= p
-        f += 1
-    mults = residue_multiplicities(cyclotomic_poly(n0), p, t)
+    residues = residues_of_order(p, t)  # validates p and t before any work on n
+    m, f = _p_free(n, p)  # n is validated by cyclotomic_poly
+    mults = residue_multiplicities(cyclotomic_poly(m), p, t, residues)
     if len(set(mults.values())) != 1:
         raise VerificationError(
             f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
@@ -489,24 +493,17 @@ def order_t_multiplicity(n: int, p: int, t: int) -> int:
     return euler_phi(p**f) * next(iter(mults.values()))
 
 
-def _is_t_times_p_power(n: int, t: int, p: int) -> bool:
-    if n % t != 0:
-        return False
-    rest = n // t
-    while rest % p == 0:
-        rest //= p
-    return rest == 1
-
-
 def verify_lemma_range(n_max: int, primes) -> Report:
     """Sweep all n <= n_max, p in primes, t | p - 1 and check three facts:
 
     (a) every order-t residue has the same multiplicity as a root of Phi_n mod p;
-    (b) that multiplicity is positive iff n = t * p^f for some f >= 0;
+    (b) that multiplicity is positive iff n = t * p^f, i.e. n's p-free part is t;
     (c) Phi_{n p^f} = Phi_n^{phi(p^f)} mod p for f <= 2 whenever p does not
-        divide n and n p^f is a supported cyclotomic index.
+        divide n and n p^f is a supported cyclotomic index, by one product:
+        Phi_{nq} * Phi_n(X^(q/p)) = Phi_n(X^q) mod p for q = p^f (Frobenius).
 
-    Failures land in the counterexample list; none are expected.
+    Residues are built once per (p, t). Failures land in the counterexample
+    list by p, t and n, fact (c)'s last for each p; none are expected.
     """
     if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"n_max out of range [1, 10^6]: {n_max}")
@@ -514,10 +511,10 @@ def verify_lemma_range(n_max: int, primes) -> Report:
     report = Report(n_max=n_max, primes=list(primes), checks_run=0,
                     counterexamples=[])
     for p in primes:
-        for n in range(1, n_max + 1):
-            phi_n = cyclotomic_poly(n)
-            for t in divisors(p - 1):
-                mults = residue_multiplicities(phi_n, p, t)
+        for t in divisors(p - 1):
+            residues = residues_of_order(p, t)
+            for n in range(1, n_max + 1):
+                mults = residue_multiplicities(cyclotomic_poly(n), p, t, residues)
                 report.checks_run += 1
                 if len(set(mults.values())) != 1:
                     report.counterexamples.append(
@@ -526,7 +523,7 @@ def verify_lemma_range(n_max: int, primes) -> Report:
                     )
                     continue
                 mult = next(iter(mults.values()))
-                expected_positive = _is_t_times_p_power(n, t, p)
+                expected_positive = _p_free(n, p)[0] == t
                 report.checks_run += 1
                 if (mult > 0) != expected_positive:
                     report.counterexamples.append(
@@ -534,17 +531,19 @@ def verify_lemma_range(n_max: int, primes) -> Report:
                          "multiplicity": mult,
                          "n_is_t_times_p_power": expected_positive}
                     )
-            if n % p != 0 and n * p <= MAX_CYCLOTOMIC_INDEX:
-                base = reduce_mod(phi_n, p)
-                for f in (1, 2):
-                    q = p**f
-                    if n * q > MAX_CYCLOTOMIC_INDEX:
-                        break
-                    lifted = reduce_mod(cyclotomic_poly(n * q), p)
-                    report.checks_run += 1
-                    if lifted != base ** euler_phi(q):
-                        report.counterexamples.append(
-                            {"n": n, "p": p, "f": f, "fact": "prime_power_identity"}
-                        )
+        for n in range(1, min(n_max, MAX_CYCLOTOMIC_INDEX // p) + 1):
+            if n % p == 0:
+                continue
+            base = reduce_mod(cyclotomic_poly(n), p)
+            for f in (1, 2):
+                q = p**f
+                if n * q > MAX_CYCLOTOMIC_INDEX:
+                    break
+                lifted = reduce_mod(cyclotomic_poly(n * q), p)
+                report.checks_run += 1
+                # iff lifted = base^(q - q/p): F_p[X] has no zero divisors, g^q = g(X^q)
+                if lifted * base.compose_power(q // p) != base.compose_power(q):
+                    report.counterexamples.append(
+                        {"n": n, "p": p, "f": f, "fact": "prime_power_identity"}
+                    )
     return report
-

@@ -16,20 +16,18 @@ from .numth import euler_phi
 _BLOCK_INDICES = [m for m in range(1, 13)]
 
 
-def random_unimodular(rng: random.Random, d: int, ops: int | None = None) -> tuple:
-    """(U, U^-1) for U a product of random elementary shear/swap/negation
+def random_unimodular(rng: random.Random, d: int) -> tuple:
+    """(U, U^-1) for U a product of 3d random elementary shear/swap/negation
     matrices (det = +-1).
 
     Shear coefficients are drawn from [-2, 2]; product entries can grow
     slightly beyond that range. Each row operation on U is undone by the
     inverse column operation on U^-1, so U^-1 costs no further draws.
     """
-    if ops is None:
-        ops = 3 * d
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
     # the columns of U^-1, so that its column operations act on lists
     cols = [list(row) for row in rows]
-    for _ in range(ops):
+    for _ in range(3 * d):
         kind = rng.randrange(3)
         i = rng.randrange(d)
         j = rng.randrange(d)

@@ -25,6 +25,7 @@ from .torus_rank import fixed_point_rank, sharp_construction
 
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
 SWEEP_P = (2, 3, 5, 7, 11, 13)
+SWEEP_MAX_DIM = 6
 SHARP_T = (1, 2, 3, 4, 6)
 # tori per oracle sweep; 1,000 take about 2 s on a 2-vCPU machine, and a
 # larger count raises DomainError before any torus is drawn
@@ -68,10 +69,10 @@ def oracle_single_check(tor: FiniteFieldTorus, p: int) -> dict:
             "invariant_factors": list(invariants), "group_order": order, **row}
 
 
-def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6) -> dict:
+def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P) -> dict:
     """Seeded random sweep checking oracle rank == eigenspace dim <= bound
-    on count tori of dimension at most max_dim, for every q in qs and every
-    p in ps that does not divide q."""
+    on count tori of dimension at most SWEEP_MAX_DIM, for every q in qs and
+    every p in ps that does not divide q."""
     import random  # loaded by this sweep only
 
     from .sampling import random_finite_order_matrix
@@ -88,7 +89,7 @@ def run_oracle_sweep(count: int, seed: int, qs=SWEEP_Q, ps=SWEEP_P, max_dim=6) -
     violations = []
     checks = 0
     for i in range(count):
-        sigma = random_finite_order_matrix(rng, rng.randint(1, max_dim))
+        sigma = random_finite_order_matrix(rng, rng.randint(1, SWEEP_MAX_DIM))
         for q in qs:
             tor = FiniteFieldTorus(q=q, sigma=sigma)
             _, rows = oracle_checks(tor, [p for p in ps if q % p])

@@ -452,7 +452,8 @@ class TestResidueMultiplicities:
                 phi_n = cyclotomic_poly(n)
                 for t in divisors(p - 1):
                     expected = _residue_reference(phi_n, p, t)
-                    assert residue_multiplicities(phi_n, p, t) == expected, (n, p, t)
+                    got = residue_multiplicities(phi_n, p, t, residues_of_order(p, t))
+                    assert got == expected, (n, p, t)
 
     def test_p_dividing_n_with_repeated_roots(self):
         # Phi_{t p^f} = Phi_t^{phi(p^f)} mod p: every order-t residue is a
@@ -460,20 +461,21 @@ class TestResidueMultiplicities:
         for t, p, f in [(4, 5, 1), (2, 3, 2), (1, 2, 3), (3, 7, 2), (2, 5, 3),
                         (12, 13, 2)]:
             phi_n = cyclotomic_poly(t * p**f)
-            mults = residue_multiplicities(phi_n, p, t)
+            mults = residue_multiplicities(phi_n, p, t, residues_of_order(p, t))
             assert mults == _residue_reference(phi_n, p, t)
             assert set(mults.values()) == {euler_phi(p**f)}, (t, p, f)
 
     def test_validates_p_and_t(self):
+        # the residue list is built, and (p, t) validated, before the call
         with pytest.raises(DomainError):
-            residue_multiplicities(cyclotomic_poly(4), 5, 3)
+            residue_multiplicities(cyclotomic_poly(4), 5, 3, residues_of_order(5, 3))
         with pytest.raises(DomainError):
-            residue_multiplicities(cyclotomic_poly(4), 6, 1)
+            residue_multiplicities(cyclotomic_poly(4), 6, 1, residues_of_order(6, 1))
 
     def test_zero_mod_p_rejected(self):
         # every residue is a "root" of 0, whose multiplicity is undefined
         with pytest.raises(DomainError):
-            residue_multiplicities(IntPoly((5, 10)), 5, 4)
+            residue_multiplicities(IntPoly((5, 10)), 5, 4, residues_of_order(5, 4))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -498,9 +500,10 @@ class TestResidueMultiplicities:
         poly = (IntPoly(f) * cyclotomic_poly(s) ** j).compose_power(k)
         if not reduce_mod(poly, p):
             with pytest.raises(DomainError):
-                residue_multiplicities(poly, p, t)
+                residue_multiplicities(poly, p, t, residues_of_order(p, t))
             return
-        assert residue_multiplicities(poly, p, t) == _residue_reference(poly, p, t)
+        mults = residue_multiplicities(poly, p, t, residues_of_order(p, t))
+        assert mults == _residue_reference(poly, p, t)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -514,7 +517,7 @@ class TestResidueMultiplicities:
         cofactor = IntPoly(f)
         assume(reduce_mod(cofactor, p))
         poly = cofactor * cyclotomic_poly(t) ** k
-        mults = residue_multiplicities(poly, p, t)
+        mults = residue_multiplicities(poly, p, t, residues_of_order(p, t))
         assert mults == _residue_reference(poly, p, t)
         assert min(mults.values()) >= k
 
@@ -563,6 +566,33 @@ class TestPrimePowerIdentity:
                     q = p**f
                     assert reduce_mod(cyclotomic_poly(n * q), p) == base ** euler_phi(q)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_frobenius_check_matches_power(self, p, monkeypatch):
+        # verify_lemma_range checks fact (c) as Phi_{nq} * Phi_n(X^(q/p)) =
+        # Phi_n(X^q) mod p; it must accept the true Phi_{nq} and reject one
+        # with a coefficient shifted by 1, as the power form Phi_n^phi(q) does
+        cases = [(n, f) for n in range(1, 201) if n % p for f in (1, 2)
+                 if n * p**f <= 10**6]
+        assert verify_lemma_range(200, {p}).passed
+        shifted = {}
+        for n, f in cases:
+            q = p**f
+            power = reduce_mod(cyclotomic_poly(n), p) ** euler_phi(q)
+            lifted = cyclotomic_poly(n * q)
+            assert reduce_mod(lifted, p) == power, (n, f)
+            coeffs = list(lifted.coeffs)
+            coeffs[(7 * n + f) % len(coeffs)] += 1
+            shifted[n * q] = IntPoly(coeffs)
+            assert reduce_mod(shifted[n * q], p) != power, (n, f)
+        # every Phi_m the sweep reads is cached above, so the lookup below
+        # leaves the cache of cyclotomic_poly as it is
+        true_poly = cyclotomic.cyclotomic_poly
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly",
+                            lambda m: shifted[m] if m in shifted else true_poly(m))
+        report = verify_lemma_range(200, {p})
+        assert [(c["n"], c["f"]) for c in report.counterexamples
+                if c["fact"] == "prime_power_identity"] == cases
+
 
 class TestRootCounts:
     def test_total_roots_in_prime_field(self):
@@ -606,7 +636,7 @@ class TestVerifyLemmaRange:
         # the two order-4 residues mod 5 get different multiplicities
         monkeypatch.setattr(
             cyclotomic, "residue_multiplicities",
-            lambda poly, p, t: {eps: eps for eps in residues_of_order(p, t)},
+            lambda poly, p, t, residues: {eps: eps for eps in residues},
         )
         report = verify_lemma_range(1, {5})
         (record,) = [c for c in report.counterexamples if c["fact"] == "uniformity"]
@@ -625,13 +655,34 @@ class TestVerifyLemmaRange:
         assert report.to_dict()["passed"] is False
 
     def test_prime_power_identity_counterexample(self, monkeypatch):
-        # a power that returns its base breaks Phi_{3^f} = Phi_1^{phi(3^f)} mod 3
-        monkeypatch.setattr(ModPoly, "__pow__", lambda self, k: self)
+        # an X -> X^k that returns its operand breaks Phi_{3^f} * Phi_1(X^(3^(f-1)))
+        # = Phi_1(X^(3^f)) mod 3
+        monkeypatch.setattr(ModPoly, "compose_power", lambda self, k: self)
         report = verify_lemma_range(1, {3})
         assert report.counterexamples == [
             {"n": 1, "p": 3, "f": f, "fact": "prime_power_identity"} for f in (1, 2)
         ]
         assert report.to_dict()["passed"] is False
+
+    def test_one_residue_list_per_p_and_t(self, monkeypatch):
+        calls = []
+
+        def residues_spy(p, t):
+            calls.append((p, t))
+            return residues_of_order(p, t)
+
+        monkeypatch.setattr(cyclotomic, "residues_of_order", residues_spy)
+        assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
+        assert sorted(calls) == [(p, t) for p in (2, 3, 5, 7, 11, 13)
+                                 for t in divisors(p - 1)]
+        assert len(calls) == 20
+
+    def test_no_modpoly_power(self, monkeypatch):
+        def forbidden(self, k):
+            raise AssertionError("fact (c) raised a ModPoly to a power")
+
+        monkeypatch.setattr(ModPoly, "__pow__", forbidden)
+        assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
