@@ -152,6 +152,8 @@ def cmd_oracle(args):
     if args.file:
         if args.p is None:
             raise DomainError("oracle --file requires --p")
+        if args.q is not None:
+            raise DomainError("oracle --file takes q from the file, not from --q")
         result = oracle_single_check(load_ff_torus(args.file), args.p)
         return {"file": args.file, "p": args.p}, result, result["ok"]
     qs = (args.q,) if args.q is not None else SWEEP_Q

@@ -7,11 +7,13 @@ whole package it uses only the standard library. Cyclotomic indices up to
 10^6 are supported.
 
 Stride rule: a polynomial whose nonzero exponents are all multiples of k is
-f(X^k), and products and reductions mod p work on the compressed sequence f,
-then expand by k once (`compose_power`). Such operands are common here:
-Phi_n(X) = Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of
-Phi_{m p^f} mod p multiplies by Phi_m(X^(p^(f-1))). Each polynomial
-keeps its stride, so a product takes the gcd of its operands' strides.
+f(X^k), and it is stored so, as k and the compressed sequence f, with k the
+gcd of those exponents. Such operands are common here: Phi_n(X) =
+Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of Phi_{m p^f}
+mod p multiplies by Phi_m(X^(p^(f-1))). Products and powers work in X^g for
+the gcd g of their operands' strides, and reductions mod p, `compose_power`,
+equality, evaluation and indexing work on f; only reading `coeffs` expands
+f by k, once per polynomial.
 
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
@@ -52,10 +54,13 @@ _WORD_CODES = {1: "B", 2: "H", 3: "I", 4: "I", 5: "Q", 6: "Q", 7: "Q", 8: "Q"}
 
 
 def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    """coeffs as a tuple without trailing zeros: the tuple itself unless its top
+    coefficient is zero, so a product or reduction is copied once."""
+    coeffs = tuple(coeffs)
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
 
 
 def _narrow(raw, src, dst, count):
@@ -131,7 +136,7 @@ def _convolve(a, b, p=None):
         packed = _pack(a, nbytes, signed)
         other = packed if a is b else _pack(b, nbytes, signed)
         digits = _unpack(packed * other, nbytes, count, signed)
-    return digits if signed else tuple(map(p.__rmod__, digits))
+    return digits if signed else tuple([d % p for d in digits])
 
 
 def _truncated_numerator(degrees, size):
@@ -162,12 +167,22 @@ def _stride(coeffs):
     return k
 
 
+def _spread(short, j):
+    """The coefficients of f(X^j) for those of f: short itself for j <= 1 or a
+    constant, else a list with j - 1 zeros between consecutive coefficients."""
+    if j <= 1 or len(short) < 2:
+        return short
+    out = [0] * (j * (len(short) - 1) + 1)
+    out[::j] = short
+    return out
+
+
 def _strided_product(a, b, p=None):
-    """(k, c) for polynomials a and b: k is the gcd of their strides, 1 if both
-    are constants, and c the `_convolve` of their coefficients compressed by k."""
-    k = math.gcd(a.stride, b.stride) or 1
-    short = a.coeffs[::k]
-    return k, _convolve(short, short if a is b else b.coeffs[::k], p)
+    """(c, k) for nonzero polynomials a and b: k is the gcd of their strides, 1
+    if both are constants, and c the `_convolve` of their coefficients in X^k."""
+    k = math.gcd(a._step, b._step) or 1
+    x = _spread(a._short, a._step // k)
+    return _convolve(x, x if a is b else _spread(b._short, b._step // k), p), k
 
 
 def _power(x, n, one, product=mul):
@@ -185,15 +200,18 @@ def _power(x, n, one, product=mul):
 
 
 class _Poly:
-    """Immutable coefficient tuple, ascending by power; zero is () of degree -1."""
+    """Immutable polynomial f(X^k), stored as its stride k, the gcd of the
+    exponents of its nonzero terms (0 for a constant or zero), and the tuple
+    of f, ascending by power without trailing zeros; zero is () of degree -1.
+    The full coefficient tuple `coeffs` is built at its first read."""
 
-    __slots__ = ("coeffs", "_step")
+    __slots__ = ("_short", "_step", "_coeffs")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _key(self):
-        return self.coeffs
+        return self._step, self._short
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -202,42 +220,50 @@ class _Poly:
         return hash(self._key())
 
     @property
+    def coeffs(self) -> tuple:
+        """All coefficients, ascending by power: f spread by k, once."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(_spread(self._short, self._step)))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return (len(self._short) - 1) * (self._step or 1)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._short)
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        q, r = divmod(i, self._step or 1)
+        return self._short[q] if i >= 0 and not r and q < len(self._short) else 0
 
     @property
     def stride(self) -> int:
-        """`_stride` of the coefficients: set by `compose_power`, else scanned
-        for once, at the first call."""
-        if getattr(self, "_step", None) is None:
-            object.__setattr__(self, "_step", _stride(self.coeffs))
+        """The gcd of the exponents of the nonzero terms, 0 for a constant or zero."""
         return self._step
 
-    def _like(self, coeffs):
-        """A polynomial of self's type on a normalised coefficient tuple, unchecked:
-        products and expansions build their results from coefficients that
-        the public constructors have already checked."""
-        new = object.__new__(type(self))
-        object.__setattr__(new, "coeffs", coeffs)
-        return new
+    def _init(self, short, k):
+        """Make self f(X^k) for the stripped tuple short of f; short's own
+        stride j, the gcd its terms may have gained, moves into k."""
+        j = _stride(short)
+        object.__setattr__(self, "_short", short[::j] if j > 1 else short)
+        object.__setattr__(self, "_step", k * j)
+        object.__setattr__(self, "_coeffs", None)
+        return self
+
+    def _like(self, short, k):
+        """`_init` on a new polynomial of self's type, unchecked: products and
+        reductions build their results from coefficients that the public
+        constructors have already checked."""
+        return object.__new__(type(self))._init(short, k)
 
     def compose_power(self, k: int):
         """Substitute X -> X^k."""
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
-        if k == 1 or not self:
+        if k == 1 or not self._step:
             return self
-        out = [0] * (k * self.degree + 1)
-        out[::k] = self.coeffs
-        new = self._like(tuple(out))
-        object.__setattr__(new, "_step", k * self.stride)
-        return new
+        return self._like(self._short, k * self._step)
 
 
 class IntPoly(_Poly):
@@ -246,10 +272,10 @@ class IntPoly(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _strip(map(index, coeffs)))
+        self._init(_strip(map(index, coeffs)), 1)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self._short[-1:] == (1,)
 
     def __mul__(self, other):
         if type(other) is not IntPoly:
@@ -257,16 +283,17 @@ class IntPoly(_Poly):
         if not self or not other:
             return IntPoly()
         # the leading coefficient is a product of nonzero ones: nothing to strip
-        k, short = _strided_product(self, other)
-        return self._like(tuple(short)).compose_power(k)
+        short, k = _strided_product(self, other)
+        return self._like(tuple(short), k)
 
     def __pow__(self, n: int):
         return _power(self, n, IntPoly((1,)))
 
     def __call__(self, x: int) -> int:
+        y = x**self._step  # f(X^k) at x is f at x^k
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        for c in reversed(self._short):
+            acc = acc * y + c
         return acc
 
     def divmod_monic(self, divisor: "IntPoly"):
@@ -287,11 +314,11 @@ class IntPoly(_Poly):
         return IntPoly(quot), IntPoly(rem)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
+        for j in range(len(self._short) - 1, -1, -1):
+            c, i = self._short[j], j * self._step
             if c == 0:
                 continue
             mono = "1" if i == 0 else ("X" if i == 1 else f"X^{i}")
@@ -315,19 +342,20 @@ class ModPoly(_Poly):
     def __init__(self, p: int, coeffs=()):
         check_prime(p)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _strip(map(p.__rmod__, map(index, coeffs))))
+        self._init(_strip(map(p.__rmod__, map(index, coeffs))), 1)
 
     def _key(self):
-        return (self.p, self.coeffs)
+        return self.p, self._step, self._short
 
-    def _like(self, coeffs):
-        new = super()._like(coeffs)
+    def _like(self, short, k):
+        new = super()._like(short, k)
         object.__setattr__(new, "p", self.p)
         return new
 
-    def _reduce(self, coeffs):
-        """Integer coefficients reduced mod self.p, unchecked."""
-        return self._like(_strip(map(self.p.__rmod__, coeffs)))
+    def _reduce(self, coeffs, k):
+        """f(X^k) for the integer coefficients of f reduced mod self.p, unchecked."""
+        p = self.p
+        return self._like(_strip([c % p for c in coeffs]), k)
 
     def __mul__(self, other):
         if type(other) is not ModPoly:
@@ -337,8 +365,7 @@ class ModPoly(_Poly):
         if not self or not other:
             return ModPoly(self.p, ())
         # residues mod a prime: the leading coefficient is nonzero as well
-        k, short = _strided_product(self, other, self.p)
-        return self._like(short).compose_power(k)
+        return self._like(*_strided_product(self, other, self.p))
 
     def __pow__(self, n: int):
         return _power(self, n, ModPoly(self.p, (1,)))
@@ -407,8 +434,7 @@ def verify_cyclotomic(n: int, poly: IntPoly) -> None:
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     """Coefficientwise reduction of an integer polynomial mod p."""
-    k = poly.stride or 1
-    return ModPoly(p)._reduce(poly.coeffs[::k]).compose_power(k)
+    return ModPoly(p)._reduce(poly._short, poly._step)
 
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:
@@ -445,10 +471,9 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
     """
     # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
     # the other S_r are 0, and evaluation costs min(t, deg + 1) steps
-    k = poly.stride or 1
-    short = poly.coeffs[::k]
+    k, short = poly.stride or 1, poly._short
     step = t // math.gcd(k, t)
-    sums = [0] * min(t, len(poly.coeffs))
+    sums = [0] * min(t, poly.degree + 1)
     for j in range(min(step, len(short))):
         sums[j * k % t] = sum(short[j::step]) % p
     sums.reverse()

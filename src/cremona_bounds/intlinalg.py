@@ -278,6 +278,10 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     indices = getattr(m, "_indices", None)
     if indices is not None:
         return indices
+    # each eigenvalue of a finite-order M is a root of unity, so |tr M| <= d;
+    # this rejects huge entries before char_poly sizes its CRT from them
+    if abs(sum(row[i] for i, row in enumerate(m.rows))) > m.dimension:
+        raise NotFiniteOrder("|trace| exceeds the dimension: M has infinite order")
     try:
         indices = cyclotomic_factorization(char_poly(m))
     except NotCyclotomicProduct as exc:

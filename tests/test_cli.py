@@ -287,6 +287,14 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--file", path)
         assert code == 2
 
+    def test_file_rejects_q(self, capsys, tmp_path):
+        # q comes from the file; a --q beside it was ignored without a word
+        path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[0, 1], [1, 0]]})
+        code, out, err = run(capsys, "oracle", "--file", path, "--p", "3", "--q", "7")
+        assert code == 2
+        assert out == ""
+        assert "--q" in err
+
     def test_excluded_characteristic(self, capsys, tmp_path):
         path = write_json(tmp_path, "ff.json", {"q": 4, "sigma": [[1]]})
         code, _, _ = run(capsys, "oracle", "--file", path, "--p", "2")

@@ -677,6 +677,24 @@ class TestVerifyLemmaRange:
                                  for t in divisors(p - 1)]
         assert len(calls) == 20
 
+    def test_frobenius_check_expands_nothing(self, monkeypatch):
+        # fact (c) compares Phi_{nq} * Phi_n(X^(q/p)) with Phi_n(X^q) on their
+        # compressed forms; Phi_n(X^q) has at least q + 1 coefficients, and
+        # no expansion that long is built at p = 101
+        spread = cyclotomic._spread
+        built = []
+
+        def spy(short, j):
+            out = spread(short, j)
+            if out is not short:
+                built.append(len(out))
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_spread", spy)
+        report = verify_lemma_range(12, {101})
+        assert report.passed
+        assert max(built, default=0) <= 101
+
     def test_no_modpoly_power(self, monkeypatch):
         def forbidden(self, k):
             raise AssertionError("fact (c) raised a ModPoly to a power")

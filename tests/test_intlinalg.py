@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm, prod
 
@@ -321,6 +322,24 @@ class TestMatrixOrder:
     def test_non_cyclotomic_char_poly(self):
         with pytest.raises(NotFiniteOrder):
             matrix_order(IntMatrix([[2, 1], [1, 1]]))
+
+    def test_small_trace_non_cyclotomic_char_poly(self):
+        # |tr| = 1 <= d passes the trace test; X^2 - X - 1 is no product of
+        # cyclotomic polynomials
+        with pytest.raises(NotFiniteOrder, match="not a product of cyclotomics"):
+            matrix_order(IntMatrix([[0, 1], [1, 1]]))
+
+    def test_huge_trace_rejected_before_char_poly(self, monkeypatch):
+        # a finite-order M has |tr M| <= d; at d = 64 with entries up to 10^30,
+        # char_poly needs hundreds of CRT primes, which took 16-18 s
+        rng = random.Random(64)
+        m = IntMatrix([[rng.randint(-10**30, 10**30) for _ in range(64)]
+                       for _ in range(64)])
+        monkeypatch.setattr(intlinalg, "char_poly", None)  # must not be reached
+        start = time.perf_counter()
+        with pytest.raises(NotFiniteOrder, match="trace"):
+            finite_order_indices(m)
+        assert time.perf_counter() - start < 1
 
     def test_order_is_lcm_and_power_is_identity(self):
         rng = random.Random(13)

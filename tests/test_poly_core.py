@@ -3,11 +3,13 @@
 `IntPoly` and `ModPoly` products and powers are compared with a schoolbook
 reference kept here, on both sides of the schoolbook/Kronecker crossover,
 and with evaluation at random points for operands too long for the reference.
-Operands in X^k, which the core multiplies and reduces on their compressed
-coefficients, are built here by the test's own substitution `stretch`; the
-stride each result keeps is checked against a fresh scan.
+Operands in X^k, which the core stores, multiplies and reduces as f(X^k) on
+their compressed coefficients f, are built here by the test's own
+substitution `stretch`; each result's stored form is checked against its
+expanded coefficients, and every operation against plain expanded tuples.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -434,13 +436,15 @@ strided = st.builds(stretch, st.lists(st.integers(-3, 3), max_size=6), st.intege
 
 
 def exact(poly, coeffs):
-    """poly has the coefficients coeffs, and its stride is the scanned one."""
+    """poly has the coefficients coeffs, stored in canonical form: its stride is
+    the scanned one and its compressed tuple is coeffs taken at that stride."""
     assert poly.coeffs == tuple(coeffs)
     assert poly.stride == _stride(poly.coeffs)
+    assert poly._short == poly.coeffs[::poly.stride or 1]
 
 
 class TestStoredStride:
-    """The stride a polynomial keeps, set by `compose_power` or scanned once."""
+    """The canonical form f(X^k) each result is stored in, and when it expands."""
 
     @settings(max_examples=200, deadline=None)
     @given(a=strided, b=strided, j=st.integers(1, 4), n=st.integers(0, 4),
@@ -466,20 +470,116 @@ class TestStoredStride:
         assert IntPoly().stride == IntPoly((7,)).stride == 0
 
     def test_expanded_power_is_never_scanned(self, monkeypatch):
-        # Phi_16807 = Phi_7(X^2401) has 14,407 coefficients; its stride comes
-        # from compose_power, and the products work on 7 to 13 coefficients
-        lengths_seen = []
+        # Phi_16807 = Phi_7(X^2401) has 14,407 coefficients; it is stored as
+        # Phi_7 at stride 2401, and the products work on 7 to 13 coefficients:
+        # nothing long is scanned or built until `coeffs` is read, once
+        lengths_seen, built = [], []
+        spread = cyclotomic._spread
 
-        def spy(coeffs):
+        def stride_spy(coeffs):
             lengths_seen.append(len(coeffs))
             return _stride(coeffs)
 
-        monkeypatch.setattr(cyclotomic, "_stride", spy)
+        def spread_spy(short, j):
+            out = spread(short, j)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_stride", stride_spy)
+        monkeypatch.setattr(cyclotomic, "_spread", spread_spy)
         cyclotomic_poly.cache_clear()
         phi = cyclotomic_poly(16807)
         square = reduce_mod(phi, 3) ** 2
+        assert square.degree == 2 * phi.degree == 28812
         assert lengths_seen and max(lengths_seen) < 100
-        assert square.coeffs == strip_mod(3, reference_pow(phi.coeffs, 2))
+        assert max(built, default=0) < 100
+        coeffs = square.coeffs
+        assert square.coeffs is coeffs and built[-1] == 28813
+        assert built.count(28813) == 1
+        assert coeffs == strip_mod(3, reference_pow(phi.coeffs, 2))
+
+
+def plain(coeffs):
+    """coeffs as a tuple without trailing zeros."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def plain_str(coeffs):
+    """The text of a polynomial, rendered from its expanded coefficients."""
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c:
+            mono = {0: "1", 1: "X"}.get(i, f"X^{i}")
+            body = str(abs(c)) if i == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+            terms.append(sign + body)
+    return " ".join(terms) or "0"
+
+
+def plain_divmod(a, d):
+    """Long division of a by the monic d, on plain lists."""
+    rem, quot = list(a), [0] * max(len(a) - len(d) + 1, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + len(d) - 1]
+        for j, y in enumerate(d):
+            rem[i + j] -= c * y
+    return plain(quot), plain(rem)
+
+
+monic_strided = st.builds(stretch, st.lists(st.integers(-3, 3), max_size=4).map(
+    lambda f: f + [1]), st.integers(1, 6))
+
+
+class TestCompressedForm:
+    """Every operation on the stored f(X^k) against plain expanded tuples:
+    strides 1-6, zero and constants among the operands."""
+
+    def same(self, poly, ref, p=None):
+        """poly, never expanded before, agrees with the expanded tuple ref."""
+        assert poly.degree == len(ref) - 1
+        assert poly.stride == math.gcd(*(i for i, c in enumerate(ref) if c))
+        assert bool(poly) == bool(ref)
+        assert [poly[i] for i in range(-2, len(ref) + 9)] == [0, 0, *ref] + [0] * 9
+        other = IntPoly(ref) if p is None else ModPoly(p, ref)
+        assert poly == other and hash(poly) == hash(other)
+        text = plain_str(ref)
+        assert str(poly) == (text if p is None else f"({text}) mod {p}")
+        assert poly.coeffs == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=strided, b=strided, d=monic_strided, j=st.integers(1, 6),
+           n=st.integers(0, 4), p=st.sampled_from(PRIMES), x=st.integers(-7, 7))
+    def test_int_operations(self, a, b, d, j, n, p, x):
+        ra, rb = plain(a), plain(b)
+        f, g = IntPoly(a), IntPoly(b)
+        assert (f == g) == (ra == rb)
+        assert f(x) == sum(c * x**i for i, c in enumerate(ra))
+        assert f(2**70) == sum(c * 2 ** (70 * i) for i, c in enumerate(ra))
+        self.same(f * g, reference_mul(ra, rb))
+        self.same(f**n, reference_pow(ra, n))
+        self.same(f.compose_power(j), plain(stretch(ra, j)))
+        self.same(reduce_mod(f, p), strip_mod(p, ra), p)
+        quot, rem = f.divmod_monic(IntPoly(d))
+        ref_quot, ref_rem = plain_divmod(ra, plain(d))
+        self.same(quot, ref_quot)
+        self.same(rem, ref_rem)
+        self.same(IntPoly(a), ra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=strided, b=strided, j=st.integers(1, 6), n=st.integers(0, 4),
+           p=st.sampled_from(PRIMES))
+    def test_mod_operations(self, a, b, j, n, p):
+        ra, rb = strip_mod(p, a), strip_mod(p, b)
+        f, g = ModPoly(p, a), ModPoly(p, b)
+        assert (f == g) == (ra == rb)
+        self.same(f * g, mod_reference(p, ra, rb), p)
+        self.same(f**n, strip_mod(p, reference_pow(ra, n)), p)
+        self.same(f.compose_power(j), plain(stretch(ra, j)), p)
+        self.same(ModPoly(p, a), ra, p)
 
 
 class CountingPoly:
