@@ -52,44 +52,6 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraicallyClosed",
-    "CremonaBound",
-    "CyclotomicExtension",
-    "DomainError",
-    "FiniteField",
-    "FiniteFieldTorus",
-    "GaloisTorusPresentation",
-    "IntMatrix",
-    "IntPoly",
-    "ModPoly",
-    "NotCyclotomicProduct",
-    "NotFiniteOrder",
-    "RankCertificate",
-    "Rationals",
-    "VerificationError",
-    "audit_pgl4",
-    "char_poly",
-    "companion_matrix",
-    "cremona_rank_bound",
-    "cyclotomic_factorization",
-    "cyclotomic_poly",
-    "enumerate_weyl",
-    "euler_phi",
-    "fixed_point_rank",
-    "group_order",
-    "kernel_dim_mod_p",
-    "multiplicative_order",
-    "multiplicity_chain_check",
-    "order_t_multiplicity",
-    "p_elementary_rank",
-    "rational_points_structure",
-    "reduce_mod",
-    "root_multiplicity",
-    "sharp_construction",
-    "smith_normal_form",
-    "t_for_field",
-    "t_of_finite_field",
-    "theorem_bound",
-    "verify_lemma_range",
-]
+# the names imported above from the package's own modules, then the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if getattr(value, "__module__", "").startswith(f"{__name__}.")] + list(_HOME))

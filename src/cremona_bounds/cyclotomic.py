@@ -1,10 +1,10 @@
 """Exact cyclotomic polynomials, their reductions mod p, and root multiplicities.
 
 Integer polynomials are exact (arbitrary-precision coefficients); modular
-polynomials live over Z/p for a prime p. Both share one multiply core
-(schoolbook, or Kronecker substitution after Harvey, JSC 44 (2009)); like the
-whole package it uses only the standard library. Cyclotomic indices up to
-10^6 are supported.
+polynomials live over Z/p for a prime p. Both share one multiply core: every
+product packs its operands into integers and multiplies once (Kronecker
+substitution, after Harvey, JSC 44 (2009)); like the whole package it uses
+only the standard library. Cyclotomic indices up to 10^6 are supported.
 
 Stride rule: a polynomial whose nonzero exponents are all multiples of k is
 f(X^k), and it is stored so, as k and the compressed sequence f, with k the
@@ -42,11 +42,6 @@ from .numth import (
 
 MAX_CYCLOTOMIC_INDEX = 10**6
 
-# Products use the schoolbook loop while it needs fewer than this many
-# coefficient products per input coefficient. Measured on CPython 3.11: on
-# dense random operands 6 is within 2% of the faster path; counting nonzeros
-# keeps sparse powers such as those of X^4096 + 1 off Kronecker substitution.
-_KRONECKER_BREAK_EVEN = 6
 # struct code of the word that holds a digit of each width up to 8 bytes:
 # struct packs and unpacks words in C, 4-7 times faster than int.to_bytes
 # and int.from_bytes, and `_narrow` cuts the words down to the digits
@@ -112,30 +107,20 @@ def _unpack(value, nbytes, count, signed=True):
 
 
 def _convolve(a, b, p=None):
-    """Product of two nonzero coefficient sequences: of integers, as a list,
-    or of residues in [0, p), reduced mod p into a tuple."""
+    """Product of two nonzero coefficient sequences by Kronecker substitution:
+    of integers, as a list, or of residues in [0, p), reduced mod p into a tuple."""
     count = len(a) + len(b) - 1
-    nonzero = len(a) - a.count(0)
-    if nonzero > len(b) - b.count(0):
-        a, b, nonzero = b, a, len(b) - b.count(0)
+    # every output coefficient is a sum of at most `nonzero` products; those of
+    # residues are nonnegative and fill the digit's top bit too
+    nonzero = min(len(a) - a.count(0), len(b) - b.count(0))
     signed = p is None
-    # the schoolbook loop makes one pass over b per nonzero coefficient of a
-    if nonzero * len(b) < _KRONECKER_BREAK_EVEN * (len(a) + len(b)):
-        digits = [0] * count
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    digits[j] += x * y
+    if signed:
+        nbytes = (nonzero * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1
     else:
-        # every output coefficient is a sum of at most `nonzero` products; those
-        # of residues are nonnegative and fill the digit's top bit too
-        if signed:
-            nbytes = (nonzero * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1
-        else:
-            nbytes = ((nonzero * (p - 1) ** 2).bit_length() + 7) // 8
-        packed = _pack(a, nbytes, signed)
-        other = packed if a is b else _pack(b, nbytes, signed)
-        digits = _unpack(packed * other, nbytes, count, signed)
+        nbytes = ((nonzero * (p - 1) ** 2).bit_length() + 7) // 8
+    packed = _pack(a, nbytes, signed)
+    other = packed if a is b else _pack(b, nbytes, signed)
+    digits = _unpack(packed * other, nbytes, count, signed)
     return digits if signed else tuple([d % p for d in digits])
 
 
@@ -259,6 +244,7 @@ class _Poly:
 
     def compose_power(self, k: int):
         """Substitute X -> X^k."""
+        k = index(k)
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
         if k == 1 or not self._step:
@@ -441,7 +427,7 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     """Largest m with (X - eps)^m dividing pbar over Z/p."""
     if not pbar:
         raise DomainError("root multiplicity undefined for the zero polynomial")
-    p = pbar.p
+    p, eps = pbar.p, index(eps)
     if not 0 <= eps < p:
         raise DomainError(f"residue {eps} not reduced mod {p}")
     mult = 0

@@ -53,7 +53,8 @@ def canonical_eps(p: int, t: int) -> int:
 
 def _eigenspace_rank(sigma: IntMatrix, eps: int, p: int) -> int:
     """dim ker(sigma - eps*I) over Z/p."""
-    return kernel_dim_mod_p(sigma - IntMatrix.identity(sigma.dimension).scale(eps), p)
+    return kernel_dim_mod_p(IntMatrix([x - eps if i == j else x for j, x in enumerate(row)]
+                                      for i, row in enumerate(sigma.rows)), p)
 
 
 def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:

@@ -77,6 +77,12 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             IntPoly([bad, 1])
 
+    @pytest.mark.parametrize("bad", [2.0, 2.5, Fraction(2), "2"])
+    def test_non_integer_power_rejected(self, bad):
+        for f in (IntPoly((1, 1, 1)), IntPoly((1, 0, 1)), ModPoly(5, (4, 1))):
+            with pytest.raises(TypeError):
+                f.compose_power(bad)
+
 
 class TestModPoly:
     @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), "1"])
@@ -404,6 +410,16 @@ class TestRootMultiplicity:
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             root_multiplicity(ModPoly(3, ()), 0)
+
+    @pytest.mark.parametrize("bad", [float, Fraction, str])
+    def test_non_integer_residue_rejected(self, bad):
+        # e is exact as a float, but Horner's rule in floating point at this p
+        # would find no root
+        p, e = 2**31 - 1, 123456789
+        square = ModPoly(p, (-e % p, 1)) ** 2
+        assert root_multiplicity(square, e) == 2
+        with pytest.raises(TypeError):
+            root_multiplicity(square, bad(e))
 
     @settings(max_examples=300, deadline=None)
     @given(

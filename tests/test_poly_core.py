@@ -1,8 +1,9 @@
 """Differential tests of the shared polynomial multiply and power core.
 
-`IntPoly` and `ModPoly` products and powers are compared with a schoolbook
-reference kept here, on both sides of the schoolbook/Kronecker crossover,
-and with evaluation at random points for operands too long for the reference.
+`IntPoly` and `ModPoly` products and powers, which all take Kronecker
+substitution, are compared with a schoolbook reference kept here, on short,
+dense, sparse and long operands, and with evaluation at random points for
+operands too long for the reference.
 Operands in X^k, which the core stores, multiplies and reduces as f(X^k) on
 their compressed coefficients f, are built here by the test's own
 substitution `stretch`; each result's stored form is checked against its
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from cremona_bounds import cyclotomic
 from cremona_bounds.cyclotomic import (
-    _KRONECKER_BREAK_EVEN,
     IntPoly,
     ModPoly,
     _convolve,
@@ -91,8 +91,7 @@ def strip_mod(p, coeffs):
     return tuple(out)
 
 
-# empty and short operands, which take the schoolbook path, and longer
-# ones, which take Kronecker substitution unless they are sparse
+# empty and short operands, and longer ones up to 48 coefficients
 lengths = st.one_of(st.integers(0, 4), st.integers(8, 16), st.integers(1, 48))
 big_ints = st.one_of(
     st.just(0),
@@ -221,7 +220,7 @@ class TestKroneckerDigits:
 
         monkeypatch.setattr(cyclotomic, "_pack", spy)
         rng = random.Random(nbytes)
-        k = 16  # dense, so 16 * 16 products take Kronecker substitution
+        k = 16  # dense operands
         # the digit bound k * top^2 then has 8 * nbytes - 3 or 8 * nbytes - 2 bits
         m = 4 * nbytes - 3
         top = 2**m - 1
@@ -288,6 +287,51 @@ class TestUnsignedDigits:
         assert (f * ModPoly(p, a + [1])).coeffs == mod_reference(p, a, a + [1])
         assert widths == [(nbytes, False)] * 3
         assert (n * (p - 1) ** 2).bit_length() > 8 * nbytes - 8
+
+
+class TestEveryProductPacks:
+    """Every product of nonzero operands takes Kronecker substitution: it packs
+    each operand once, or its one operand once for a square, short dense
+    operands and long ones against a few nonzeros alike."""
+
+    @pytest.fixture
+    def packed(self, monkeypatch):
+        lengths = []
+
+        def spy(coeffs, *args):
+            lengths.append(len(coeffs))
+            return _pack(coeffs, *args)
+
+        monkeypatch.setattr(cyclotomic, "_pack", spy)
+        return lengths
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_short_dense_operands(self, n, packed):
+        p = 10007
+        rng = random.Random(n)
+        a = [rng.randrange(1, p) for _ in range(n)]
+        b = [-rng.randrange(1, 2**40) for _ in range(n)]
+        c = [rng.randrange(1, p) for _ in range(n)]
+        for f, g, expected, square in [
+            (IntPoly(a), IntPoly(b), reference_mul(a, b), reference_mul(a, a)),
+            (ModPoly(p, a), ModPoly(p, c), mod_reference(p, a, c), mod_reference(p, a, a)),
+        ]:
+            packed.clear()
+            assert (f * g).coeffs == expected
+            assert packed == [n, n]
+            packed.clear()
+            assert (f * f).coeffs == square
+            assert packed == [n]
+
+    def test_long_times_three_nonzeros(self, packed):
+        # shaped like the lemma's Frobenius check at p = 10007: a long
+        # compressed product against Phi_n(X^p) with few nonzeros
+        p = 10007
+        rng = random.Random(p)
+        a = [rng.randrange(1, p) for _ in range(20000)]
+        b = stretch([rng.randrange(1, p) for _ in range(3)], p)
+        assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
+        assert packed == [20000, len(b)]
 
 
 class TestLongOperands:
@@ -388,20 +432,16 @@ class TestStrideRule:
             assert f * c == c * f == expected
             assert c * c == make(reference_mul(const, const))
 
-    def test_both_sides_of_the_crossover(self):
-        # dense compressed lengths (la, lb): the schoolbook loop runs when
-        # la * lb < _KRONECKER_BREAK_EVEN * (la + lb), else Kronecker
+    def test_dense_grid_of_sizes(self):
+        # dense compressed lengths (la, lb) at strides 1, 4 and 6, every prime
         rng = random.Random(11)
-        sides = set()
         for la, lb in [(2, 5), (11, 12), (12, 12), (13, 11), (48, 30)]:
-            sides.add(la * lb < _KRONECKER_BREAK_EVEN * (la + lb))
             for k in (1, 4, 6):
                 a = stretch([rng.randrange(1, 2**40) for _ in range(la)], k)
                 b = stretch([-rng.randrange(1, 2**40) for _ in range(lb)], k)
                 assert (IntPoly(a) * IntPoly(b)).coeffs == reference_mul(a, b)
                 for p in PRIMES:
                     assert (ModPoly(p, a) * ModPoly(p, b)).coeffs == mod_reference(p, a, b)
-        assert sides == {True, False}
 
     @pytest.mark.parametrize("coeffs, p, expected", [
         ((1, 0, 0, 0, 3), 3, (1,)),
