@@ -39,12 +39,12 @@ class FiniteFieldTorus(Record):
         return self.sigma.dimension
 
     def point_matrix(self) -> IntMatrix:
-        return self.sigma.scale(self.q) - IntMatrix.identity(self.dimension)
+        return self.sigma.shift(self.q, 1)
 
 
 def check_field_size(q: int) -> int:
-    """Validate a field size: a prime power q in [2, 2^20]."""
-    if prime_power_decomposition(q) is None or q > MAX_FIELD_SIZE:
+    """Validate a field size: a prime power q in [2, 2^20], bounded before factoring."""
+    if type(q) is not int or q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
         raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
     return q
 

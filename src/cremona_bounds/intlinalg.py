@@ -1,6 +1,6 @@
 """Exact integer matrix algebra.
 
-Characteristic polynomials (Hessenberg reduction modulo primes below 2^31,
+Characteristic polynomials (Hessenberg reduction modulo primes below 2^62,
 then CRT, with the number of primes fixed by a Hadamard-type coefficient
 bound; Cohen, GTM 138, Section 2.2), cyclotomic factorization of monic
 integer polynomials, finite-order detection, Smith normal form, and kernel
@@ -9,7 +9,7 @@ one integer (Kronecker substitution, as for polynomial products).
 """
 
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index, matmul, mul
 
 from .cyclotomic import IntPoly, _pack, _power, _unpack, cyclotomic_poly
@@ -59,24 +59,17 @@ class IntMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __sub__(self, other):
-        self._check_dim(other)
-        return IntMatrix(
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        )
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([c * x for x in row] for row in self.rows)
-
-    def _check_dim(self, other):
-        if self.dimension != other.dimension:
-            raise DomainError("dimension mismatch")
+    def shift(self, c: int, e: int) -> "IntMatrix":
+        """c*M - e*I, built as one matrix."""
+        return IntMatrix([c * x - e if i == j else c * x for j, x in enumerate(row)]
+                         for i, row in enumerate(self.rows))
 
     def __matmul__(self, other):
         """Row i of the product is sum_k a_ik * (row k of other), with each
         row of other packed into one integer whose digits hold the entries."""
-        self._check_dim(other)
         d = self.dimension
+        if other.dimension != d:
+            raise DomainError("dimension mismatch")
         # every entry of the product is a sum of d products; the digits must
         # hold the entries of other as well, also when self is zero
         bound = d * max(_max_abs(self.rows), 1) * _max_abs(other.rows)
@@ -139,8 +132,8 @@ def _check_cap(m: IntMatrix):
 
 
 def _crt_primes():
-    """The primes below 2^31, descending: the same list on every call."""
-    q = 2**31 - 1
+    """The primes below 2^62, descending: the same list on every call."""
+    q = 2**62 - 1
     while True:
         if is_prime(q):
             yield q
@@ -201,7 +194,7 @@ def _char_poly_mod(rows, p: int) -> list:
 
 
 def char_poly(m: IntMatrix) -> IntPoly:
-    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^31 and CRT.
+    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^62 and CRT.
 
     Coefficient bound (Cohen, GTM 138, Section 2.2): c_{d-k} is up to sign
     the sum of the C(d,k) principal k-minors, and by Hadamard's inequality a
@@ -262,9 +255,7 @@ def cyclotomic_factorization(f: IntPoly) -> tuple:
         if remaining.degree == 0:
             break
     if remaining.degree != 0:
-        raise NotCyclotomicProduct(
-            f"{f} is not a product of cyclotomic polynomials"
-        )
+        raise NotCyclotomicProduct(f"{f} is not a product of cyclotomic polynomials")
     return tuple(sorted(indices))
 
 
@@ -272,24 +263,34 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     """Cyclotomic factorization of the char poly of M, checked to have
     M^N = I for N the lcm of the indices; raises NotFiniteOrder otherwise.
 
+    A finite-order M is semisimple with roots of unity as eigenvalues. So its
+    char poly, with |c_{d-k}| <= C(d, k), is the symmetric lift of its residues
+    mod P = 2^62 - 57 > 2 C(64, 32); and g, the product of the distinct Phi_d
+    dividing it, has g(M) v = 0 for v = (1, ..., 1). Both tests run mod P and
+    only reject: M is powered only once char_poly(M) equals the lift.
+
     M is immutable, so the indices are kept on it and each matrix is
     checked once, however many tori share it.
     """
     indices = getattr(m, "_indices", None)
     if indices is not None:
         return indices
-    # each eigenvalue of a finite-order M is a root of unity, so |tr M| <= d;
-    # this rejects huge entries before char_poly sizes its CRT from them
-    if abs(sum(row[i] for i, row in enumerate(m.rows))) > m.dimension:
-        raise NotFiniteOrder("|trace| exceeds the dimension: M has infinite order")
+    _check_cap(m)
+    p = next(_crt_primes())
+    lift = IntPoly([c - p if 2 * c > p else c for c in _char_poly_mod(m.rows, p)])
     try:
-        indices = cyclotomic_factorization(char_poly(m))
+        indices = cyclotomic_factorization(lift)
     except NotCyclotomicProduct as exc:
-        raise NotFiniteOrder(
-            "characteristic polynomial is not a product of cyclotomics"
-        ) from exc
+        raise NotFiniteOrder("char poly mod P is not a product of cyclotomics") from exc
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m.rows]
+    w = [0] * m.dimension
+    for c in reversed(prod(map(cyclotomic_poly, set(indices)), start=IntPoly([1])).coeffs):
+        w = [(sum(x * w[j] for j, x in row) + c) % p for row in nonzero]
+    if any(w):
+        raise NotFiniteOrder("g(M) v != 0 mod P: M is not semisimple")
+    if char_poly(m) != lift:
+        raise NotFiniteOrder("char poly is not its lift mod P: M has infinite order")
     n = lcm(*indices)
-    # semisimplicity is not implied by the char poly; verify by powering
     if m**n != IntMatrix.identity(m.dimension):
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
     object.__setattr__(m, "_indices", indices)

@@ -51,16 +51,10 @@ def canonical_eps(p: int, t: int) -> int:
     return pow(a, -1, p)
 
 
-def _eigenspace_rank(sigma: IntMatrix, eps: int, p: int) -> int:
-    """dim ker(sigma - eps*I) over Z/p."""
-    return kernel_dim_mod_p(IntMatrix([x - eps if i == j else x for j, x in enumerate(row)]
-                                      for i, row in enumerate(sigma.rows)), p)
-
-
 def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     """Eigenspace rank of the mod-p action at the inverse character value."""
     eps = canonical_eps(p, pres.chi_order)
-    rank = _eigenspace_rank(pres.sigma, eps, p)
+    rank = kernel_dim_mod_p(pres.sigma.shift(1, eps), p)
     bound = theorem_bound(pres.dimension, pres.chi_order)
     if rank > bound:
         raise VerificationError(
@@ -82,7 +76,10 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     are reported, not asserted equal.
     """
     t = pres.chi_order
-    eps = canonical_eps(p, t)
+    # the residues ascend, so the first key is canonical_eps(p, t)
+    inverses = (pow(residue, -1, p) for residue in residues_of_order(p, t))
+    per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in inverses}
+    eps = next(iter(per_eps))
     phi_t = euler_phi(t)
     factors, violations = [], []
     total = 0
@@ -104,8 +101,6 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     total_bound = theorem_bound(pres.dimension, t)
     if total > total_bound:
         violations.append({"total_multiplicity": total, "total_bound": total_bound})
-    inverses = (pow(residue, -1, p) for residue in residues_of_order(p, t))
-    per_eps = {e: _eigenspace_rank(pres.sigma, e, p) for e in inverses}
     return Report(p=p, t=t, eps=eps, factors=factors, total_multiplicity=total,
                   total_bound=total_bound, per_eps_eigenspace_rank=per_eps,
                   violations=violations)

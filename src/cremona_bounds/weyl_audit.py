@@ -51,7 +51,7 @@ def audit_pgl4(p: int = 3) -> Report:
         raise DomainError("the audit needs an odd prime: -1 and 1 coincide mod 2")
     elements, violations = [], []
     max_mult = 0
-    minus_identity = IntMatrix.identity(3).scale(-1)
+    minus_identity = IntMatrix.identity(3).shift(-1, 0)
     x_plus_1_cubed = IntPoly((1, 1)) ** 3
     minus_one = p - 1
     for elem in enumerate_weyl():

@@ -1,12 +1,16 @@
 import json
+import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cremona_bounds import (
     cyclotomic,
     ff_oracle,
     intlinalg,
+    sampling,
     sweeps,
     torus_rank,
     weyl_audit,
@@ -510,3 +514,98 @@ class TestJsonRoundTrip:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+P = next(intlinalg._crt_primes())
+HUGE = 10**40
+
+
+def _sigma_kinds(rng, d):
+    """Makers of sigma values for an input file, by kind: JSON data, or raw
+    text where the document cannot be dumped (deep nesting)."""
+    def dense(bound):
+        return [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+
+    def conjugated(block):
+        # d // 2 draws of a 2 x 2 block, padded by [1] to d x d, then
+        # conjugated by a product U of three unimodulars, so that the
+        # entries of the blocks reach most rows
+        if d == 1:
+            return [[rng.choice((2, -3, HUGE))]]
+        blocks = [block() for _ in range(d // 2)] + [IntMatrix([[1]])] * (d % 2)
+        m = IntMatrix.block_diagonal(blocks)
+        for _ in range(3):
+            u, u_inv = sampling.random_unimodular(rng, d)
+            m = u @ m @ u_inv
+        return [list(r) for r in m.rows]
+
+    def finite_order():
+        return [list(r) for r in sampling.random_finite_order_matrix(rng, d).rows]
+
+    def lift_of_finite_order():
+        # congruent mod P to a finite-order matrix, as the adversarial sigma
+        rows = finite_order()
+        rows[rng.randrange(d)][rng.randrange(d)] += rng.choice((-P, P))
+        return rows
+
+    def diagonal_zero():
+        return [[0 if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(dense(HUGE))]
+
+    def jordan():
+        # a Jordan block at +-1 with a huge corner
+        lam = rng.choice((-1, 1))
+        return IntMatrix([[lam, rng.randint(1, HUGE)], [0, lam]])
+
+    return {
+        "finite order": finite_order,
+        "huge entries": lambda: dense(HUGE),
+        "huge entries, diagonal 0": diagonal_zero,
+        "infinite order": lambda: conjugated(lambda: IntMatrix([[2, 1], [1, 1]])),
+        "not semisimple": lambda: conjugated(jordan),
+        "lift of a finite order": lift_of_finite_order,
+        "not square": lambda: [[1] * d, [1] * (d + 1)],
+        "65 rows": lambda: [[int(i == j) for j in range(65)] for i in range(65)],
+        "booleans": lambda: [[True] * d] * d,
+        "deep nesting": lambda: "[" * 100_000 + "]" * 100_000,
+    }
+
+
+class TestExitCodeFuzz:
+    """Generated torus-rank and oracle --file inputs: every run returns 0,
+    1, 2 or 3 within 2 s, and no exception escapes main. A chi_order that
+    divides p - 1 is at most 12 here, as the work per order-t residue grows
+    with phi(t), a known cost of its own."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["torus-rank", "oracle"]),
+        kind=st.sampled_from(list(_sigma_kinds(random.Random(0), 2))),
+        seed=st.integers(0, 2**32),
+        d=st.one_of(st.integers(1, 8), st.integers(9, 64), st.just(64)),
+        # each of q, p and chi_order is valid about half of the time
+        q=st.one_of(st.sampled_from([2, 4, 9, 2**20]),
+                    st.sampled_from([6, 1, 0, -4, 2**20 + 1, 2**61 - 1, HUGE])),
+        p=st.one_of(st.sampled_from([3, 5, 7, 2**31 - 1]),
+                    st.sampled_from([2**31, 2**31 + 1, 9, -3, "x"])),
+        chi_order=st.one_of(st.integers(1, 12), st.sampled_from([0, -1, HUGE])),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    def test_exit_code_and_time(self, capsys, tmp_path, command, kind, seed, d, q, p,
+                                chi_order, fmt):
+        sigma = _sigma_kinds(random.Random(seed), d)[kind]()
+        body, rows = (sigma, d) if isinstance(sigma, str) else (json.dumps(sigma), len(sigma))
+        path = tmp_path / "input.json"
+        path.write_text(f'{{"dimension": {rows}, "chi_order": {chi_order}, "q": {q}, '
+                        f'"sigma": {body}}}')
+        argv = [command, "--file", str(path), "--p", str(p), "--format", fmt]
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        assert elapsed < 2, f"{kind}, d = {d}: {elapsed:.2f} s"

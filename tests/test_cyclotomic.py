@@ -6,6 +6,7 @@ from operator import sub
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,21 @@ class TestReduceMod:
 
     def test_degree_drop(self):
         assert reduce_mod(IntPoly((1, 1, 5)), 5).degree == 1
+
+
+class TestIsPrime:
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first 9 primes
+    @pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.one_of(st.integers(0, 2**64), st.integers(2**62 - 10**4, 2**62),
+                       st.integers(2**31 - 10**3, 2**31 + 10**3)))
+    @example(n=2**62 - 57)
+    @example(n=2**62 - 87)
+    def test_vs_sympy_below_2_64(self, n):
+        assert is_prime(n) == sympy.isprime(n)
 
 
 class TestMultiplicativeOrder:

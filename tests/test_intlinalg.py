@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 import sympy
@@ -20,6 +20,7 @@ from cremona_bounds.errors import (
 )
 from cremona_bounds.ff_oracle import FiniteFieldTorus, rational_points_structure
 from cremona_bounds.intlinalg import (
+    MAX_DIMENSION,
     IntMatrix,
     char_poly,
     companion_matrix,
@@ -122,8 +123,10 @@ class TestIntMatrix:
 
     def test_arithmetic(self):
         m = IntMatrix([[1, 2], [3, 4]])
-        assert m.scale(2) - m == m
-        assert m - m == IntMatrix([[0, 0], [0, 0]])
+        assert m.shift(1, 0) == m
+        assert m.shift(2, 1) == IntMatrix([[1, 4], [6, 7]])
+        assert m.shift(0, -3) == IntMatrix([[3, 0], [0, 3]])
+        assert IntMatrix.identity(2).shift(-1, 0) == IntMatrix([[-1, 0], [0, -1]])
         assert m @ IntMatrix.identity(2) == m
         assert m**0 == IntMatrix.identity(2)
         assert m**2 == m @ m
@@ -241,7 +244,12 @@ class TestCharPoly:
                             lambda rows, p: used.append(p) or original(rows, p))
         assert char_poly(m) == sympy_char_poly(m)
         assert len(used) > 3 and used == sorted(used, reverse=True)
-        assert all(p < 2**31 for p in used)
+        assert all(p < 2**62 for p in used)
+
+    def test_first_prime_lifts_every_finite_order_char_poly(self):
+        # |c_{d-k}| <= C(d, k) for a finite-order M, so one prime decides the
+        # symmetric lift at every d <= MAX_DIMENSION
+        assert 2 * comb(MAX_DIMENSION, MAX_DIMENSION // 2) < next(intlinalg._crt_primes())
 
     def test_bound_with_irrational_row_norms(self):
         # rows of norm sqrt(2): the coefficients of (X^2 - 2X + 2)^32 reach
@@ -303,6 +311,13 @@ class TestCyclotomicFactorization:
             assert sum(euler_phi(i) for i in indices) == m.dimension
 
 
+def block_companion() -> IntMatrix:
+    """64 x 64 companion blocks of Phi_3, 5, 7, 11, 13, 17, 8, 9 and I_4:
+    the Phi_17 block holds rows and columns 34-49."""
+    blocks = [companion_matrix(cyclotomic_poly(n)) for n in (3, 5, 7, 11, 13, 17, 8, 9)]
+    return IntMatrix.block_diagonal(blocks + [IntMatrix.identity(4)])
+
+
 def matrix_order(m):
     """Least N >= 1 with M^N = I, from the checked cyclotomic indices."""
     return lcm(*finite_order_indices(m))
@@ -324,22 +339,65 @@ class TestMatrixOrder:
             matrix_order(IntMatrix([[2, 1], [1, 1]]))
 
     def test_small_trace_non_cyclotomic_char_poly(self):
-        # |tr| = 1 <= d passes the trace test; X^2 - X - 1 is no product of
-        # cyclotomic polynomials
+        # X^2 - X - 1 is no product of cyclotomic polynomials
         with pytest.raises(NotFiniteOrder, match="not a product of cyclotomics"):
             matrix_order(IntMatrix([[0, 1], [1, 1]]))
 
     def test_huge_trace_rejected_before_char_poly(self, monkeypatch):
-        # a finite-order M has |tr M| <= d; at d = 64 with entries up to 10^30,
-        # char_poly needs hundreds of CRT primes, which took 16-18 s
+        # at d = 64 with entries up to 10^30, char_poly needs hundreds of CRT
+        # primes, which took 14-18 s; the char poly mod P rejects both
+        # matrices, the second one with |tr M| = 0 <= d
         rng = random.Random(64)
-        m = IntMatrix([[rng.randint(-10**30, 10**30) for _ in range(64)]
-                       for _ in range(64)])
+        rows = [[rng.randint(-10**30, 10**30) for _ in range(64)] for _ in range(64)]
+        diagonal_zero = [[0 if i == j else x for j, x in enumerate(row)]
+                         for i, row in enumerate(rows)]
+        monkeypatch.setattr(intlinalg, "char_poly", None)  # must not be reached
+        for m in (IntMatrix(rows), IntMatrix(diagonal_zero)):
+            start = time.perf_counter()
+            with pytest.raises(NotFiniteOrder, match="mod P is not a product of cyclotomics"):
+                finite_order_indices(m)
+            assert time.perf_counter() - start < 1
+
+    def test_not_semisimple_rejected_before_char_poly(self, monkeypatch):
+        # 32 Jordan blocks at 1 with corners up to 10^40, densely conjugated:
+        # the char poly is (X - 1)^64, and (M - I) v != 0 mod P rejects M
+        # before char_poly runs its CRT over 8,000-bit bounds
+        rng = random.Random(5)
+        m = IntMatrix.block_diagonal(IntMatrix([[1, rng.randint(1, 10**40)], [0, 1]])
+                                     for _ in range(32))
+        for _ in range(3):
+            u, u_inv = random_unimodular(rng, 64)
+            m = u @ m @ u_inv
         monkeypatch.setattr(intlinalg, "char_poly", None)  # must not be reached
         start = time.perf_counter()
-        with pytest.raises(NotFiniteOrder, match="trace"):
+        with pytest.raises(NotFiniteOrder, match="not semisimple"):
             finite_order_indices(m)
         assert time.perf_counter() - start < 1
+
+    def test_lift_alone_never_powers(self, monkeypatch):
+        # C has order 6,126,120; adding P to an entry of its Phi_17 block keeps
+        # the char poly mod P, so the lift is cyclotomic, but not the char
+        # poly: powering on the lift would take M^6126120 over Z
+        c = block_companion()
+        assert finite_order_indices(c) == (1, 1, 1, 1, 3, 5, 7, 8, 9, 11, 13, 17)
+        rows = [list(row) for row in c.rows]
+        rows[40][36] += next(intlinalg._crt_primes())
+        powered = []
+        monkeypatch.setattr(IntMatrix, "__pow__", lambda m, n: powered.append(n))
+        start = time.perf_counter()
+        with pytest.raises(NotFiniteOrder, match="not its lift mod P"):
+            finite_order_indices(IntMatrix(rows))
+        assert time.perf_counter() - start < 1
+        assert powered == []
+
+    def test_three_hessenberg_passes_at_dimension_64(self, monkeypatch):
+        # one pass for the lift mod P, two for char_poly's CRT
+        used = []
+        original = intlinalg._char_poly_mod
+        monkeypatch.setattr(intlinalg, "_char_poly_mod",
+                            lambda rows, p: used.append(p) or original(rows, p))
+        finite_order_indices(block_companion())
+        assert len(used) == 3
 
     def test_order_is_lcm_and_power_is_identity(self):
         rng = random.Random(13)

@@ -153,6 +153,18 @@ class TestMultiplicityChain:
         assert set(report.per_eps_eigenspace_rank) == {2, 3}
         assert all(v == 1 for v in report.per_eps_eigenspace_rank.values())
 
+    def test_one_residue_list(self, monkeypatch):
+        # eps is the first key of per_eps_eigenspace_rank, the inverse of the
+        # smallest order-t residue, so the list is built once
+        calls = []
+        original = torus_rank.residues_of_order
+        monkeypatch.setattr(torus_rank, "residues_of_order",
+                            lambda p, t: calls.append((p, t)) or original(p, t))
+        pres = GaloisTorusPresentation(2, companion_matrix(cyclotomic_poly(4)), 4)
+        report = multiplicity_chain_check(pres, 13)
+        assert calls == [(13, 4)]
+        assert report.eps == canonical_eps(13, 4) == next(iter(report.per_eps_eigenspace_rank))
+
     def test_report_key_order(self):
         pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
         assert list(multiplicity_chain_check(pres, 3).to_dict()) == [

@@ -89,7 +89,7 @@ class TestAuditPGL4:
         assert row["indices"] == [1, 3]
 
     def test_no_minus_identity(self):
-        minus_identity = IntMatrix.identity(3).scale(-1)
+        minus_identity = IntMatrix.identity(3).shift(-1, 0)
         assert all(e.matrix != minus_identity for e in enumerate_weyl())
 
     def test_no_cubed_linear_char_poly(self):
@@ -111,7 +111,7 @@ class TestAuditPGL4:
     def test_minus_identity_violates_three_facts(self, monkeypatch):
         # -I has char poly (X+1)^3, so -1 is a triple root mod p
         minus_identity = weyl_audit.WeylElement(
-            (0, 1, 2, 3), IntMatrix.identity(3).scale(-1)
+            (0, 1, 2, 3), IntMatrix.identity(3).shift(-1, 0)
         )
         monkeypatch.setattr(weyl_audit, "enumerate_weyl", lambda: [minus_identity])
         report = audit_pgl4()
