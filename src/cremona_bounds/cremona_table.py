@@ -14,13 +14,21 @@ from .numth import (
 )
 
 
+MAX_FIELD_SIZE = 2**20
+
+
+def check_field_size(q: int) -> int:
+    """Validate a field size: a prime power q in [2, 2^20], bounded before factoring."""
+    if type(q) is not int or q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
+        raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
+    return q
+
+
 class FiniteField(Record):
     __slots__ = ("q",)
 
     def __init__(self, q):
-        if prime_power_decomposition(q) is None:
-            raise DomainError(f"q = {q} is not a prime power")
-        super().__init__(q)
+        super().__init__(check_field_size(q))
 
     def __str__(self):
         return f"F_{self.q}"

@@ -12,9 +12,9 @@ oracle/eigenspace equivalence sweep in the test suite pins this choice.
 
 from math import prod
 
-from .cremona_table import FiniteField, t_for_field
+from .cremona_table import MAX_FIELD_SIZE, FiniteField, check_field_size, t_for_field
 from .cyclotomic import cyclotomic_poly
-from .errors import DomainError, Record, VerificationError
+from .errors import Record, VerificationError
 from .intlinalg import IntMatrix, finite_order_indices, smith_normal_form
 from .numth import (
     check_order_divides,
@@ -22,8 +22,6 @@ from .numth import (
     multiplicative_order,
     prime_power_decomposition,
 )
-
-MAX_FIELD_SIZE = 2**20
 
 
 class FiniteFieldTorus(Record):
@@ -40,13 +38,6 @@ class FiniteFieldTorus(Record):
 
     def point_matrix(self) -> IntMatrix:
         return self.sigma.shift(self.q, 1)
-
-
-def check_field_size(q: int) -> int:
-    """Validate a field size: a prime power q in [2, 2^20], bounded before factoring."""
-    if type(q) is not int or q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
-        raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
-    return q
 
 
 def rational_points_structure(tor: FiniteFieldTorus) -> tuple:

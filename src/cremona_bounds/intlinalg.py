@@ -20,7 +20,8 @@ MAX_DIMENSION = 64
 
 
 class IntMatrix:
-    """Immutable square matrix with arbitrary-precision integer entries."""
+    """Immutable square matrix with arbitrary-precision integer entries and
+    dimension at most MAX_DIMENSION."""
 
     # _indices: cyclotomic indices of the char poly, set by finite_order_indices
     __slots__ = ("rows", "dimension", "_indices")
@@ -30,6 +31,8 @@ class IntMatrix:
         d = len(rows)
         if d < 1 or any(len(row) != d for row in rows):
             raise DomainError("matrix must be square with dimension >= 1")
+        if d > MAX_DIMENSION:
+            raise DomainError(f"dimension {d} exceeds cap {MAX_DIMENSION}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dimension", d)
 
@@ -126,11 +129,6 @@ def companion_matrix(poly: IntPoly) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _check_cap(m: IntMatrix):
-    if m.dimension > MAX_DIMENSION:
-        raise DomainError(f"dimension {m.dimension} exceeds cap {MAX_DIMENSION}")
-
-
 def _crt_primes():
     """The primes below 2^62, descending: the same list on every call."""
     q = 2**62 - 1
@@ -193,41 +191,52 @@ def _char_poly_mod(rows, p: int) -> list:
     return minors[n]
 
 
-def char_poly(m: IntMatrix) -> IntPoly:
-    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^62 and CRT.
+def _residues(m: IntMatrix):
+    """(p, residues of det(X*I - M) mod p) for the CRT primes in turn, until
+    their product exceeds twice the coefficient bound.
 
     Coefficient bound (Cohen, GTM 138, Section 2.2): c_{d-k} is up to sign
     the sum of the C(d,k) principal k-minors, and by Hadamard's inequality a
     principal minor is at most the product of its rows' 2-norms. With N_i the
     rounded-up 2-norm of row i, |c_{d-k}| <= e_k(N_1, ..., N_d), the k-th
     elementary symmetric function, which is at most C(d,k) * B^k for
-    B = max N_i. Primes are taken until their product exceeds twice the
-    largest e_k, so the symmetric residues are the coefficients. The result
-    is cross-checked by c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss).
+    B = max N_i.
     """
-    _check_cap(m)
-    d = m.dimension
     elementary = [1]
     for row in m.rows:
         s = sum(x * x for x in row)
         norm = isqrt(s - 1) + 1 if s else 0
         elementary = [a + norm * b for a, b in zip(elementary + [0], [0] + elementary)]
-    bound = max(elementary)
-    coeffs, modulus = [0] * (d + 1), 1
-    primes = _crt_primes()
-    while modulus <= 2 * bound:
-        p = next(primes)
+    bound, modulus = 2 * max(elementary), 1
+    for p in _crt_primes():
+        yield p, _char_poly_mod(m.rows, p)
+        modulus *= p
+        if modulus > bound:
+            return
+
+
+def _cross_check(m: IntMatrix, coeffs):
+    """c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss), or VerificationError."""
+    if coeffs[-2] != -sum(row[i] for i, row in enumerate(m.rows)):
+        raise VerificationError("char poly: coefficient of X^(d-1) is not -trace")
+    if coeffs[0] != (-1) ** m.dimension * m.det():
+        raise VerificationError("char poly: constant term is not (-1)^d det")
+
+
+def char_poly(m: IntMatrix) -> IntPoly:
+    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^62 and CRT.
+
+    The primes are those of _residues, so the symmetric residues modulo their
+    product are the coefficients. The result is cross-checked by
+    c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss).
+    """
+    coeffs, modulus = [0] * (m.dimension + 1), 1
+    for p, residues in _residues(m):
         lift = pow(modulus, -1, p)
-        coeffs = [
-            x + modulus * ((r - x) * lift % p)
-            for x, r in zip(coeffs, _char_poly_mod(m.rows, p))
-        ]
+        coeffs = [x + modulus * ((r - x) * lift % p) for x, r in zip(coeffs, residues)]
         modulus *= p
     coeffs = [x - modulus if 2 * x > modulus else x for x in coeffs]
-    if coeffs[d - 1] != -sum(m.rows[i][i] for i in range(d)):
-        raise VerificationError("char poly: coefficient of X^(d-1) is not -trace")
-    if coeffs[0] != (-1) ** d * m.det():
-        raise VerificationError("char poly: constant term is not (-1)^d det")
+    _cross_check(m, coeffs)
     return IntPoly(coeffs)
 
 
@@ -267,7 +276,9 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     char poly, with |c_{d-k}| <= C(d, k), is the symmetric lift of its residues
     mod P = 2^62 - 57 > 2 C(64, 32); and g, the product of the distinct Phi_d
     dividing it, has g(M) v = 0 for v = (1, ..., 1). Both tests run mod P and
-    only reject: M is powered only once char_poly(M) equals the lift.
+    only reject. M is powered only once the lift agrees with the residues
+    modulo each further prime of _residues, whose product with P exceeds
+    twice the bound on both: then the lift is the char poly.
 
     M is immutable, so the indices are kept on it and each matrix is
     checked once, however many tori share it.
@@ -275,11 +286,11 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     indices = getattr(m, "_indices", None)
     if indices is not None:
         return indices
-    _check_cap(m)
-    p = next(_crt_primes())
-    lift = IntPoly([c - p if 2 * c > p else c for c in _char_poly_mod(m.rows, p)])
+    residues = _residues(m)
+    p, first = next(residues)
+    lift = [c - p if 2 * c > p else c for c in first]
     try:
-        indices = cyclotomic_factorization(lift)
+        indices = cyclotomic_factorization(IntPoly(lift))
     except NotCyclotomicProduct as exc:
         raise NotFiniteOrder("char poly mod P is not a product of cyclotomics") from exc
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m.rows]
@@ -288,8 +299,10 @@ def finite_order_indices(m: IntMatrix) -> tuple:
         w = [(sum(x * w[j] for j, x in row) + c) % p for row in nonzero]
     if any(w):
         raise NotFiniteOrder("g(M) v != 0 mod P: M is not semisimple")
-    if char_poly(m) != lift:
-        raise NotFiniteOrder("char poly is not its lift mod P: M has infinite order")
+    for q, r in residues:
+        if [c % q for c in lift] != r:
+            raise NotFiniteOrder("char poly is not its lift mod P: M has infinite order")
+    _cross_check(m, lift)
     n = lcm(*indices)
     if m**n != IntMatrix.identity(m.dimension):
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
@@ -305,7 +318,6 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     arithmetic throughout. The chain is checked on the result: each
     invariant divides the next (0 divides only 0).
     """
-    _check_cap(m)
     invariants = _smith_diagonal([list(row) for row in m.rows])
     for a, b in zip(invariants, invariants[1:]):
         divides = b % a == 0 if a else b == 0
@@ -361,7 +373,6 @@ def _smith_diagonal(a) -> tuple:
 
 def kernel_dim_mod_p(m: IntMatrix, p: int) -> int:
     """Dimension over Z/p of the null space of M mod p."""
-    _check_cap(m)
     check_prime(p)
     d = m.dimension
     a = [[x % p for x in row] for row in m.rows]

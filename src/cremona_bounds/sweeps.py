@@ -9,10 +9,10 @@ witnesses attain the bound, both by the eigenspace rank and by the oracle.
 
 from math import prod
 
+from .cremona_table import check_field_size
 from .errors import DomainError, VerificationError
 from .ff_oracle import (
     FiniteFieldTorus,
-    check_field_size,
     group_order,
     p_elementary_rank,
     rational_points_structure,

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cremona_bounds import (
@@ -548,6 +548,11 @@ def _sigma_kinds(rng, d):
         rows[rng.randrange(d)][rng.randrange(d)] += rng.choice((-P, P))
         return rows
 
+    def multiple_of_p():
+        # I + P*K is I mod P, but its entries size a long CRT
+        return [[int(i == j) + P * x for j, x in enumerate(row)]
+                for i, row in enumerate(dense(10**22))]
+
     def diagonal_zero():
         return [[0 if i == j else x for j, x in enumerate(row)]
                 for i, row in enumerate(dense(HUGE))]
@@ -564,6 +569,7 @@ def _sigma_kinds(rng, d):
         "infinite order": lambda: conjugated(lambda: IntMatrix([[2, 1], [1, 1]])),
         "not semisimple": lambda: conjugated(jordan),
         "lift of a finite order": lift_of_finite_order,
+        "dense multiple of P": multiple_of_p,
         "not square": lambda: [[1] * d, [1] * (d + 1)],
         "65 rows": lambda: [[int(i == j) for j in range(65)] for i in range(65)],
         "booleans": lambda: [[True] * d] * d,
@@ -592,6 +598,12 @@ class TestExitCodeFuzz:
         chi_order=st.one_of(st.integers(1, 12), st.sampled_from([0, -1, HUGE])),
         fmt=st.sampled_from(["text", "json"]),
     )
+    # the generated draws of this kind stay small; at d = 64 its entries
+    # alone would size a CRT of 142 primes
+    @example(command="torus-rank", kind="dense multiple of P", seed=7, d=64, q=4, p=3,
+             chi_order=1, fmt="json")
+    @example(command="oracle", kind="dense multiple of P", seed=7, d=64, q=4, p=3,
+             chi_order=1, fmt="json")
     def test_exit_code_and_time(self, capsys, tmp_path, command, kind, seed, d, q, p,
                                 chi_order, fmt):
         sigma = _sigma_kinds(random.Random(seed), d)[kind]()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cremona_bounds.cremona_table import (
@@ -144,6 +146,15 @@ class TestTForField:
             CyclotomicExtension(0)
         with pytest.raises(DomainError):
             t_for_field("Q", 5)
+
+    def test_large_q_rejected_before_factoring(self):
+        # 2^61 - 1 is prime: trial division up to its square root never ended
+        for q in (2**20 + 1, 2**61 - 1, 10**40):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="prime power in"):
+                FiniteField(q)
+            assert time.perf_counter() - start < 1
+        assert FiniteField(2**20).q == 2**20
 
     def test_t_divides_p_minus_one_sweep(self):
         fields = [

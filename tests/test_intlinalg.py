@@ -116,6 +116,11 @@ class TestIntMatrix:
         with pytest.raises(DomainError):
             IntMatrix([])
 
+    def test_dimension_cap_at_construction(self):
+        with pytest.raises(DomainError, match="exceeds cap 64"):
+            IntMatrix([[int(i == j) for j in range(65)] for i in range(65)])
+        assert IntMatrix.identity(MAX_DIMENSION).dimension == 64
+
     @pytest.mark.parametrize("entry", [1.9, 1.0, "1"])
     def test_non_integer_entries_rejected(self, entry):
         with pytest.raises(TypeError):
@@ -390,14 +395,34 @@ class TestMatrixOrder:
         assert time.perf_counter() - start < 1
         assert powered == []
 
-    def test_three_hessenberg_passes_at_dimension_64(self, monkeypatch):
-        # one pass for the lift mod P, two for char_poly's CRT
+    def test_two_hessenberg_passes_at_dimension_64(self, monkeypatch):
+        # one pass for the lift mod P, one to compare it mod the next prime:
+        # the residues mod P are not computed again
         used = []
         original = intlinalg._char_poly_mod
         monkeypatch.setattr(intlinalg, "_char_poly_mod",
                             lambda rows, p: used.append(p) or original(rows, p))
         finite_order_indices(block_companion())
-        assert len(used) == 3
+        assert used == [2**62 - 57, 2**62 - 87]
+
+    def test_multiple_of_p_rejected_at_second_prime(self, monkeypatch):
+        # I + P*K is I mod P, so both tests mod P pass; its entries of about
+        # 10^40 size the CRT at 142 primes, and the lift must fail at the second
+        p = next(intlinalg._crt_primes())
+        rng = random.Random(7)
+        m = IntMatrix([[int(i == j) + p * rng.randint(-10**22, 10**22) for j in range(64)]
+                       for i in range(64)])
+        used, powered = [], []
+        original = intlinalg._char_poly_mod
+        monkeypatch.setattr(intlinalg, "_char_poly_mod",
+                            lambda rows, p: used.append(p) or original(rows, p))
+        monkeypatch.setattr(IntMatrix, "__pow__", lambda m, n: powered.append(n))
+        start = time.perf_counter()
+        with pytest.raises(NotFiniteOrder, match="not its lift mod P"):
+            finite_order_indices(m)
+        assert time.perf_counter() - start < 1
+        assert powered == []
+        assert used == [p, 2**62 - 87]
 
     def test_order_is_lcm_and_power_is_identity(self):
         rng = random.Random(13)

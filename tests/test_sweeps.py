@@ -45,8 +45,8 @@ class TestRunOracleSweep:
     def test_each_sigma_checked_once(self, monkeypatch):
         # one finite-order check per torus, not one per field size q
         calls = []
-        original = intlinalg.char_poly
-        monkeypatch.setattr(intlinalg, "char_poly",
+        original = intlinalg._residues
+        monkeypatch.setattr(intlinalg, "_residues",
                             lambda m: calls.append(m) or original(m))
         summary = run_oracle_sweep(6, seed=2)
         assert summary["tori"] == 6 and not summary["violations"]

@@ -243,8 +243,8 @@ class TestBasisInvariance:
 class TestFactorOnce:
     def test_one_char_poly_per_torus(self, monkeypatch):
         calls = []
-        original = intlinalg.char_poly
-        monkeypatch.setattr(intlinalg, "char_poly",
+        original = intlinalg._residues
+        monkeypatch.setattr(intlinalg, "_residues",
                             lambda m: calls.append(m) or original(m))
         sigma = random_finite_order_matrix(random.Random(41), 12)
         pres = GaloisTorusPresentation(12, sigma, 4)
