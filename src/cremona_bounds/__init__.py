@@ -20,7 +20,7 @@ from .cyclotomic import (
     verify_lemma_range,
 )
 from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
-from .numth import euler_phi, multiplicative_order, theorem_bound
+from .numth import euler_phi, theorem_bound
 
 # The other layers load on first use of one of their names (PEP 562).
 _LAZY = {

@@ -1,13 +1,10 @@
 """The piecewise rank bound for p-elementary subgroups of the plane Cremona
 group as a function of (p, t), with field descriptors that compute t."""
 
-from math import lcm
-
 from .errors import DomainError, Record
 from .numth import (
     check_order_divides,
     check_prime,
-    euler_phi,
     multiplicative_order,
     prime_power_decomposition,
     theorem_bound,
@@ -47,8 +44,8 @@ class CyclotomicExtension(Record):
     __slots__ = ("m",)
 
     def __init__(self, m):
-        if m < 1:
-            raise DomainError("cyclotomic extension index must be >= 1")
+        if type(m) is not int or m < 1:
+            raise DomainError(f"cyclotomic extension index must be an integer >= 1: {m!r}")
         super().__init__(m)
 
     def __str__(self):
@@ -103,7 +100,8 @@ def t_for_field(k, p: int) -> int:
     if isinstance(k, Rationals):
         return p - 1
     if isinstance(k, CyclotomicExtension):
-        return euler_phi(lcm(k.m, p)) // euler_phi(k.m)
+        # Q(zeta_m) meets Q(zeta_p) only in Q unless p | m
+        return 1 if k.m % p == 0 else p - 1
     if isinstance(k, AlgebraicallyClosed):
         return 1
     raise DomainError(f"unsupported field descriptor: {k!r}")

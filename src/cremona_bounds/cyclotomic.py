@@ -251,6 +251,9 @@ class _Poly:
             return self
         return self._like(self._short, k * self._step)
 
+    def __pow__(self, n: int):
+        return _power(self, n, self._like((1,), 1))
+
 
 class IntPoly(_Poly):
     """Polynomial with exact integer coefficients."""
@@ -271,9 +274,6 @@ class IntPoly(_Poly):
         # the leading coefficient is a product of nonzero ones: nothing to strip
         short, k = _strided_product(self, other)
         return self._like(tuple(short), k)
-
-    def __pow__(self, n: int):
-        return _power(self, n, IntPoly((1,)))
 
     def __call__(self, x: int) -> int:
         y = x**self._step  # f(X^k) at x is f at x^k
@@ -338,11 +338,6 @@ class ModPoly(_Poly):
         object.__setattr__(new, "p", self.p)
         return new
 
-    def _reduce(self, coeffs, k):
-        """f(X^k) for the integer coefficients of f reduced mod self.p, unchecked."""
-        p = self.p
-        return self._like(_strip([c % p for c in coeffs]), k)
-
     def __mul__(self, other):
         if type(other) is not ModPoly:
             return NotImplemented
@@ -352,9 +347,6 @@ class ModPoly(_Poly):
             return ModPoly(self.p, ())
         # residues mod a prime: the leading coefficient is nonzero as well
         return self._like(*_strided_product(self, other, self.p))
-
-    def __pow__(self, n: int):
-        return _power(self, n, ModPoly(self.p, (1,)))
 
     def __str__(self):
         return f"({IntPoly(self.coeffs)}) mod {self.p}"
@@ -420,7 +412,7 @@ def verify_cyclotomic(n: int, poly: IntPoly) -> None:
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     """Coefficientwise reduction of an integer polynomial mod p."""
-    return ModPoly(p)._reduce(poly._short, poly._step)
+    return ModPoly(p)._like(_strip([c % p for c in poly._short]), poly._step)
 
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:

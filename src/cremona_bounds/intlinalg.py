@@ -241,7 +241,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
 
 
 def cyclotomic_factorization(f: IntPoly) -> tuple:
-    """Multiset of indices d_i with prod Phi_{d_i} = f, sorted ascending.
+    """Multiset of indices d_i with prod Phi_{d_i} = f, ascending.
 
     Greedy trial division, candidates ascending; the enumeration cap
     d <= 2*deg^2 + 6 covers every d with phi(d) <= deg.
@@ -265,7 +265,7 @@ def cyclotomic_factorization(f: IntPoly) -> tuple:
             break
     if remaining.degree != 0:
         raise NotCyclotomicProduct(f"{f} is not a product of cyclotomic polynomials")
-    return tuple(sorted(indices))
+    return tuple(indices)
 
 
 def finite_order_indices(m: IntMatrix) -> tuple:

@@ -44,16 +44,16 @@ class RankCertificate(Record):
     __slots__ = ("upper_bound", "eigenspace_rank", "char_poly_indices", "eps_used")
 
 
-def canonical_eps(p: int, t: int) -> int:
-    """Inverse mod p of the smallest positive residue of order t; DomainError
-    unless p is prime and t divides p - 1 (no Galois element realizes t)."""
-    a = residues_of_order(p, t)[0]
-    return pow(a, -1, p)
+def _eigenvalues(p: int, t: int):
+    """Inverses mod p of the residues of order t, by ascending residue, so the
+    canonical eigenvalue comes first; DomainError unless p is prime and t
+    divides p - 1 (no Galois element realizes t)."""
+    return (pow(residue, -1, p) for residue in residues_of_order(p, t))
 
 
 def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
     """Eigenspace rank of the mod-p action at the inverse character value."""
-    eps = canonical_eps(p, pres.chi_order)
+    eps = next(_eigenvalues(p, pres.chi_order))
     rank = kernel_dim_mod_p(pres.sigma.shift(1, eps), p)
     bound = theorem_bound(pres.dimension, pres.chi_order)
     if rank > bound:
@@ -76,9 +76,7 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     are reported, not asserted equal.
     """
     t = pres.chi_order
-    # the residues ascend, so the first key is canonical_eps(p, t)
-    inverses = (pow(residue, -1, p) for residue in residues_of_order(p, t))
-    per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in inverses}
+    per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in _eigenvalues(p, t)}
     eps = next(iter(per_eps))
     phi_t = euler_phi(t)
     factors, violations = [], []

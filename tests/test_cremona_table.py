@@ -1,4 +1,5 @@
 import time
+from math import lcm
 
 import pytest
 
@@ -13,8 +14,8 @@ from cremona_bounds.cremona_table import (
 from cremona_bounds.cyclotomic import order_t_multiplicity
 from cremona_bounds.errors import DomainError
 from cremona_bounds.ff_oracle import smallest_field_with_t
-from cremona_bounds.numth import divisors, is_prime, residues_of_order
-from cremona_bounds.torus_rank import canonical_eps, theorem_bound
+from cremona_bounds.numth import divisors, euler_phi, is_prime, residues_of_order
+from cremona_bounds.torus_rank import theorem_bound
 
 TABLE = [
     (2, 1, 4),
@@ -107,9 +108,9 @@ class TestAttainingExample:
 )
 @pytest.mark.parametrize(
     "check",
-    [residues_of_order, lambda p, t: order_t_multiplicity(1, p, t), canonical_eps,
+    [residues_of_order, lambda p, t: order_t_multiplicity(1, p, t),
      cremona_rank_bound, attaining_example, smallest_field_with_t],
-    ids=["residues_of_order", "order_t_multiplicity", "canonical_eps",
+    ids=["residues_of_order", "order_t_multiplicity",
          "cremona_rank_bound", "attaining_example", "smallest_field_with_t"],
 )
 def test_invalid_pair_rejected_by_the_one_check(check, p, t, message):
@@ -123,6 +124,24 @@ class TestTForField:
 
     def test_cyclotomic_contains_root(self):
         assert t_for_field(CyclotomicExtension(3), 3) == 1
+
+    def test_cyclotomic_closed_form_is_the_degree_ratio(self):
+        # [Q(zeta_lcm(m, p)) : Q(zeta_m)] = phi(lcm(m, p)) / phi(m)
+        for p in [p for p in range(2, 51) if is_prime(p)]:
+            for m in range(1, 201):
+                expected = euler_phi(lcm(m, p)) // euler_phi(m)
+                assert t_for_field(CyclotomicExtension(m), p) == expected, (m, p)
+
+    def test_cyclotomic_large_index_without_factoring(self):
+        # 2^61 - 1 is prime: factoring it by trial division would not end
+        start = time.perf_counter()
+        assert t_for_field(CyclotomicExtension(2**61 - 1), 3) == 2
+        assert time.perf_counter() - start < 1
+
+    def test_cyclotomic_index_must_be_an_int(self):
+        for m in (2.0, True):
+            with pytest.raises(DomainError, match="must be an integer >= 1"):
+                CyclotomicExtension(m)
 
     def test_finite_field(self):
         assert t_for_field(FiniteField(4), 3) == 1

@@ -96,6 +96,14 @@ class TestModPoly:
         assert f == ModPoly(5, (4, 0, 0, 1))
         assert f.p == 5
 
+    def test_powers_keep_type_and_modulus(self):
+        # one __pow__ on the base class builds its 1 by the operand's type
+        assert IntPoly((2, 1)) ** 0 == IntPoly((1,))
+        one = ModPoly(7, (3, 1)) ** 0
+        assert one == ModPoly(7, (1,)) and one.p == 7
+        assert ModPoly(7, (3, 1)) ** 2 == ModPoly(7, (2, 6, 1))
+        assert ModPoly(7, (3, 0, 1)) ** 7 == ModPoly(7, (3, 0, 1)).compose_power(7)
+
 
 def x_pow_minus_one(n):
     return IntPoly([-1] + [0] * (n - 1) + [1])
@@ -299,6 +307,15 @@ class TestReduceMod:
 
     def test_degree_drop(self):
         assert reduce_mod(IntPoly((1, 1, 5)), 5).degree == 1
+
+    def test_matches_the_checked_constructor(self):
+        # reduce_mod builds its result unchecked, keeping the stride where
+        # the surviving terms allow it; ModPoly's constructor starts at 1
+        for f in [(7,), (0, 7), (14, 0, 0, 7), (1, 0, 0, 7, 0, 0, 1), (3, 0, -4, 0, 7)]:
+            for k in (1, 2, 5):
+                poly = IntPoly(f).compose_power(k)
+                for p in (2, 3, 7):
+                    assert reduce_mod(poly, p) == ModPoly(p, poly.coeffs), (f, k, p)
 
 
 class TestIsPrime:

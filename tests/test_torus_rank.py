@@ -11,7 +11,6 @@ from cremona_bounds.numth import euler_phi, is_prime
 from cremona_bounds.sampling import random_finite_order_matrix, random_unimodular
 from cremona_bounds.torus_rank import (
     GaloisTorusPresentation,
-    canonical_eps,
     fixed_point_rank,
     multiplicity_chain_check,
     sharp_construction,
@@ -108,15 +107,18 @@ class TestFixedPointRank:
 
 class TestCanonicalEps:
     def test_order_one(self):
-        assert canonical_eps(7, 1) == 1
+        pres = GaloisTorusPresentation(1, IntMatrix([[1]]), 1)
+        assert fixed_point_rank(pres, 7).eps_used == 1
 
     def test_order_four_mod_five(self):
         # smallest residue of order 4 mod 5 is 2; eps = 2^-1 = 3
-        assert canonical_eps(5, 4) == 3
+        pres = GaloisTorusPresentation(2, companion_matrix(cyclotomic_poly(4)), 4)
+        assert fixed_point_rank(pres, 5).eps_used == 3
 
     def test_not_dividing(self):
+        pres = GaloisTorusPresentation(2, companion_matrix(cyclotomic_poly(4)), 4)
         with pytest.raises(DomainError):
-            canonical_eps(7, 4)
+            fixed_point_rank(pres, 7)
 
 
 class TestMultiplicityChain:
@@ -163,7 +165,8 @@ class TestMultiplicityChain:
         pres = GaloisTorusPresentation(2, companion_matrix(cyclotomic_poly(4)), 4)
         report = multiplicity_chain_check(pres, 13)
         assert calls == [(13, 4)]
-        assert report.eps == canonical_eps(13, 4) == next(iter(report.per_eps_eigenspace_rank))
+        eps_used = fixed_point_rank(pres, 13).eps_used
+        assert report.eps == eps_used == next(iter(report.per_eps_eigenspace_rank))
 
     def test_report_key_order(self):
         pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
