@@ -1,10 +1,11 @@
 """Exact cyclotomic polynomials, their reductions mod p, and root multiplicities.
 
 Integer polynomials are exact (arbitrary-precision coefficients); modular
-polynomials live over Z/p for a prime p. Both share one multiply core: every
-product packs its operands into integers and multiplies once (Kronecker
-substitution, after Harvey, JSC 44 (2009)); like the whole package it uses
-only the standard library. Cyclotomic indices up to 10^6 are supported.
+polynomials live over Z/p for a prime p. Both are one class body, whose
+modulus p is None over Z, with one multiply core: every product packs its
+operands into integers and multiplies once (Kronecker substitution, after
+Harvey, JSC 44 (2009)); like the whole package it uses only the standard
+library. Cyclotomic indices up to 10^6 are supported.
 
 Stride rule: a polynomial whose nonzero exponents are all multiples of k is
 f(X^k), and it is stored so, as k and the compressed sequence f, with k the
@@ -162,14 +163,6 @@ def _spread(short, j):
     return out
 
 
-def _strided_product(a, b, p=None):
-    """(c, k) for nonzero polynomials a and b: k is the gcd of their strides, 1
-    if both are constants, and c the `_convolve` of their coefficients in X^k."""
-    k = math.gcd(a._step, b._step) or 1
-    x = _spread(a._short, a._step // k)
-    return _convolve(x, x if a is b else _spread(b._short, b._step // k), p), k
-
-
 def _power(x, n, one, product=mul):
     """x**n by square-and-multiply: no product by one, no squaring past n's top bit."""
     if n < 0:
@@ -185,18 +178,20 @@ def _power(x, n, one, product=mul):
 
 
 class _Poly:
-    """Immutable polynomial f(X^k), stored as its stride k, the gcd of the
-    exponents of its nonzero terms (0 for a constant or zero), and the tuple
-    of f, ascending by power without trailing zeros; zero is () of degree -1.
-    The full coefficient tuple `coeffs` is built at its first read."""
+    """Immutable polynomial f(X^k) over Z, where its modulus p is None, or over
+    Z/p for a prime p, with coefficients reduced to [0, p). It is stored as p,
+    its stride k, the gcd of the exponents of its nonzero terms (0 for a
+    constant or zero), and the tuple of f, ascending by power without trailing
+    zeros; zero is () of degree -1. The full coefficient tuple `coeffs` is
+    built at its first read."""
 
-    __slots__ = ("_short", "_step", "_coeffs")
+    __slots__ = ("p", "_short", "_step", "_coeffs")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _key(self):
-        return self._step, self._short
+        return self.p, self._step, self._short
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -227,20 +222,21 @@ class _Poly:
         """The gcd of the exponents of the nonzero terms, 0 for a constant or zero."""
         return self._step
 
-    def _init(self, short, k):
-        """Make self f(X^k) for the stripped tuple short of f; short's own
-        stride j, the gcd its terms may have gained, moves into k."""
+    def _init(self, p, short, k):
+        """Make self f(X^k) mod p for the stripped tuple short of f; short's
+        own stride j, the gcd its terms may have gained, moves into k."""
         j = _stride(short)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "_short", short[::j] if j > 1 else short)
         object.__setattr__(self, "_step", k * j)
         object.__setattr__(self, "_coeffs", None)
         return self
 
     def _like(self, short, k):
-        """`_init` on a new polynomial of self's type, unchecked: products and
-        reductions build their results from coefficients that the public
-        constructors have already checked."""
-        return object.__new__(type(self))._init(short, k)
+        """`_init` on a new polynomial of self's type and modulus, unchecked:
+        products and reductions build their results from coefficients that
+        the public constructors have already checked."""
+        return object.__new__(type(self))._init(self.p, short, k)
 
     def compose_power(self, k: int):
         """Substitute X -> X^k."""
@@ -251,8 +247,44 @@ class _Poly:
             return self
         return self._like(self._short, k * self._step)
 
+    def __mul__(self, other):
+        """The product in X^g, g the gcd of the operands' strides (1 for two
+        constants), by one `_convolve` of their compressed coefficients."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.p != other.p:
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
+        if not self or not other:
+            return self._like((), 0)
+        # over Z or mod a prime, the leading coefficient is a product of
+        # nonzero ones: nothing to strip
+        k = math.gcd(self._step, other._step) or 1
+        x = _spread(self._short, self._step // k)
+        y = x if self is other else _spread(other._short, other._step // k)
+        return self._like(tuple(_convolve(x, y, self.p)), k)
+
     def __pow__(self, n: int):
         return _power(self, n, self._like((1,), 1))
+
+    def __str__(self):
+        parts = []
+        for j in range(len(self._short) - 1, -1, -1):
+            c, i = self._short[j], j * self._step
+            if c == 0:
+                continue
+            mono = "1" if i == 0 else ("X" if i == 1 else f"X^{i}")
+            mag = abs(c)
+            body = mono if (mag == 1 and i > 0) else (str(mag) if i == 0 else f"{mag}*{mono}")
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        text = " ".join(parts) or "0"
+        return text if self.p is None else f"({text}) mod {self.p}"
+
+    def __repr__(self):
+        modulus = "" if self.p is None else f"{self.p}, "
+        return f"{type(self).__name__}({modulus}{list(self.coeffs)})"
 
 
 class IntPoly(_Poly):
@@ -261,19 +293,10 @@ class IntPoly(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self._init(_strip(map(index, coeffs)), 1)
+        self._init(None, _strip(map(index, coeffs)), 1)
 
     def is_monic(self) -> bool:
         return self._short[-1:] == (1,)
-
-    def __mul__(self, other):
-        if type(other) is not IntPoly:
-            return NotImplemented
-        if not self or not other:
-            return IntPoly()
-        # the leading coefficient is a product of nonzero ones: nothing to strip
-        short, k = _strided_product(self, other)
-        return self._like(tuple(short), k)
 
     def __call__(self, x: int) -> int:
         y = x**self._step  # f(X^k) at x is f at x^k
@@ -299,60 +322,15 @@ class IntPoly(_Poly):
                     rem[i - dd + j] -= c * b
         return IntPoly(quot), IntPoly(rem)
 
-    def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for j in range(len(self._short) - 1, -1, -1):
-            c, i = self._short[j], j * self._step
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            mag = abs(c)
-            body = mono if (mag == 1 and i > 0) else (str(mag) if i == 0 else f"{mag}*{mono}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
-
 
 class ModPoly(_Poly):
     """Polynomial over Z/p, coefficients reduced to [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
     def __init__(self, p: int, coeffs=()):
         check_prime(p)
-        object.__setattr__(self, "p", p)
-        self._init(_strip(map(p.__rmod__, map(index, coeffs))), 1)
-
-    def _key(self):
-        return self.p, self._step, self._short
-
-    def _like(self, short, k):
-        new = super()._like(short, k)
-        object.__setattr__(new, "p", self.p)
-        return new
-
-    def __mul__(self, other):
-        if type(other) is not ModPoly:
-            return NotImplemented
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-        if not self or not other:
-            return ModPoly(self.p, ())
-        # residues mod a prime: the leading coefficient is nonzero as well
-        return self._like(*_strided_product(self, other, self.p))
-
-    def __str__(self):
-        return f"({IntPoly(self.coeffs)}) mod {self.p}"
-
-    def __repr__(self):
-        return f"ModPoly({self.p}, {list(self.coeffs)})"
+        self._init(p, _strip(map(p.__rmod__, map(index, coeffs))), 1)
 
 
 @lru_cache(maxsize=None)
@@ -417,6 +395,8 @@ def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     """Largest m with (X - eps)^m dividing pbar over Z/p."""
+    if pbar.p is None:
+        raise DomainError("root multiplicity needs a polynomial mod p")
     if not pbar:
         raise DomainError("root multiplicity undefined for the zero polynomial")
     p, eps = pbar.p, index(eps)

@@ -11,6 +11,8 @@ this is exact (Frobenius topologically generates), over other fields it gives
 an upper bound only.
 """
 
+import math
+
 from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
 from .errors import DomainError, Record, Report, VerificationError
 from .intlinalg import (
@@ -71,9 +73,11 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
 def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     """Check mult_eps(Phi_{d_i} mod p) <= phi(d_i)/phi(t) factor by factor.
 
-    Also records the eigenspace rank at every order-t residue: when p divides
-    the order of the action those ranks may differ across residues, so they
-    are reported, not asserted equal.
+    Also records the eigenspace rank at every order-t residue and checks it
+    against the chain sum, which is the same at every such residue (fact (a)):
+    when p does not divide the order N of sigma, X^N - 1 is separable mod p,
+    so sigma mod p is diagonalisable and the rank equals the sum; otherwise
+    it is at most the sum, and the ranks may differ across residues.
     """
     t = pres.chi_order
     per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in _eigenvalues(p, t)}
@@ -99,6 +103,11 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     total_bound = theorem_bound(pres.dimension, t)
     if total > total_bound:
         violations.append({"total_multiplicity": total, "total_bound": total_bound})
+    divides = math.lcm(*pres.char_poly_indices) % p == 0
+    for rank in sorted(set(per_eps.values())):
+        if rank > total or (rank < total and not divides):
+            violations.append({"eigenspace_rank": rank, "total_multiplicity": total,
+                               "p_divides_order": divides})
     return Report(p=p, t=t, eps=eps, factors=factors, total_multiplicity=total,
                   total_bound=total_bound, per_eps_eigenspace_rank=per_eps,
                   violations=violations)

@@ -264,6 +264,20 @@ class TestTorusRank:
         results = failed_check(capsys, "torus-rank", "--file", path, "--p", "3")
         assert results["multiplicity_chain"]["violations"]
 
+    def test_rank_off_the_chain_sum_exits_3(self, capsys, tmp_path, monkeypatch):
+        # 3 does not divide the order 2 of sigma, so the rank at eps = 1 must
+        # be the chain sum 0; faked one higher it is still within the bound 1
+        original = torus_rank.kernel_dim_mod_p
+        monkeypatch.setattr(torus_rank, "kernel_dim_mod_p", lambda m, p: original(m, p) + 1)
+        path = write_json(
+            tmp_path, "torus.json", {"dimension": 1, "sigma": [[-1]], "chi_order": 1}
+        )
+        results = failed_check(capsys, "torus-rank", "--file", path, "--p", "3")
+        assert results["certificate"]["eigenspace_rank"] == 1
+        assert results["multiplicity_chain"]["violations"] == [
+            {"eigenspace_rank": 1, "total_multiplicity": 0, "p_divides_order": False}
+        ]
+
     def test_char_poly_det_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         # char poly of the rotation is X^2 + 1, so c_0 = 1; det faked to 7
         # makes the c_0 = (-1)^d det M cross-check fail

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona_bounds import cyclotomic
+from cremona_bounds.errors import DomainError
 from cremona_bounds.cyclotomic import (
     IntPoly,
     ModPoly,
@@ -195,6 +196,69 @@ class TestMixedTypes:
     def test_mod_times_scalar(self):
         with pytest.raises(TypeError):
             ModPoly(3, [2, 2]) * 2
+
+
+# (polynomial, str, repr), the strings as the two subclasses rendered them
+# before they shared one class body
+RENDERED = [
+    (IntPoly(), "0", "IntPoly([])"),
+    (IntPoly([5]), "5", "IntPoly([5])"),
+    (IntPoly([-1]), "-1", "IntPoly([-1])"),
+    (IntPoly([0, -1]), "-X", "IntPoly([0, -1])"),
+    (IntPoly([-1, 1]), "X - 1", "IntPoly([-1, 1])"),
+    (IntPoly([3, 0, -2, 0, 1]), "X^4 - 2*X^2 + 3", "IntPoly([3, 0, -2, 0, 1])"),
+    (IntPoly([0, 0, 0, -7]), "-7*X^3", "IntPoly([0, 0, 0, -7])"),
+    (IntPoly([1, 0, 0, 0, 0, 0, -1]), "-X^6 + 1", "IntPoly([1, 0, 0, 0, 0, 0, -1])"),
+    (IntPoly([-2, 1, 0, 0, -1]), "-X^4 + X - 2", "IntPoly([-2, 1, 0, 0, -1])"),
+    (cyclotomic_poly(9), "X^6 + X^3 + 1", "IntPoly([1, 0, 0, 1, 0, 0, 1])"),
+    (IntPoly([2, -3]) * IntPoly([0, 0, 1]), "-3*X^3 + 2*X^2", "IntPoly([0, 0, 2, -3])"),
+    (ModPoly(7), "(0) mod 7", "ModPoly(7, [])"),
+    (ModPoly(7, [-1]), "(6) mod 7", "ModPoly(7, [6])"),
+    (ModPoly(5, [1, 0, 0, 4]), "(4*X^3 + 1) mod 5", "ModPoly(5, [1, 0, 0, 4])"),
+    (ModPoly(3, [0, 0, 2, 0, 0, 1]), "(X^5 + 2*X^2) mod 3", "ModPoly(3, [0, 0, 2, 0, 0, 1])"),
+    (reduce_mod(cyclotomic_poly(9), 7), "(X^6 + X^3 + 1) mod 7",
+     "ModPoly(7, [1, 0, 0, 1, 0, 0, 1])"),
+    (ModPoly(11, [0, 0, 0, 0, 1]), "(X^4) mod 11", "ModPoly(11, [0, 0, 0, 0, 1])"),
+    (ModPoly(7, [3]) * ModPoly(7, [5]), "(1) mod 7", "ModPoly(7, [1])"),
+]
+
+
+class TestModulusAsData:
+    """`IntPoly` and `ModPoly` are one class body whose modulus p is None over Z."""
+
+    def test_integer_modulus_is_none(self):
+        assert IntPoly([1, 1]).p is None
+        assert cyclotomic_poly(12).p is None
+        assert ModPoly(7, [1, 1]).p == 7
+
+    def test_foreign_operand_is_not_implemented(self):
+        assert IntPoly([1, 1]).__mul__(ModPoly(3, [1])) is NotImplemented
+        assert ModPoly(3, [1]).__mul__(IntPoly([1, 1])) is NotImplemented
+
+    @pytest.mark.parametrize("zero,other", [
+        (IntPoly(), IntPoly([0, 0, 1, 0, 2])),
+        (ModPoly(7), ModPoly(7, [0, 0, 1, 0, 2])),
+        (ModPoly(2), ModPoly(2, [1])),
+    ])
+    def test_zero_products_keep_type_and_modulus(self, zero, other):
+        for product in (zero * other, other * zero, zero * zero):
+            assert type(product) is type(zero)
+            assert product.p == zero.p
+            assert product == zero and not product and product.stride == 0
+
+    def test_one_is_not_equal_across_rings(self):
+        assert IntPoly([1]) != ModPoly(7, [1])
+        assert ModPoly(7, [1]) != IntPoly([1])
+        assert ModPoly(7, [1]) != ModPoly(5, [1])
+
+    @pytest.mark.parametrize("poly,text,shown", RENDERED)
+    def test_rendering_is_unchanged(self, poly, text, shown):
+        assert str(poly) == text
+        assert repr(poly) == shown
+
+    def test_root_multiplicity_needs_a_modulus(self):
+        with pytest.raises(DomainError, match="mod p"):
+            cyclotomic.root_multiplicity(IntPoly([-1, 1]), 1)
 
 
 class TestKroneckerDigits:

@@ -176,16 +176,37 @@ class TestMultiplicityChain:
         ]
 
     def test_violations_fail_the_report(self, monkeypatch):
-        # multiplicity 2 of eps in Phi_2 exceeds phi(2) / phi(2) = 1, and the
-        # total exceeds floor(1 / phi(2)) = 1
+        # multiplicity 2 of eps in Phi_2 exceeds phi(2) / phi(2) = 1, the
+        # total exceeds floor(1 / phi(2)) = 1, and 3 does not divide the order
+        # 2 of sigma, so the eigenspace rank 1 must equal the total 2
         monkeypatch.setattr(torus_rank, "root_multiplicity", lambda pbar, eps: 2)
         pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
         report = multiplicity_chain_check(pres, 3)
         assert report.violations == [
             {"index": 2, "multiplicity": 2, "phi": 1, "phi_t": 1},
             {"total_multiplicity": 2, "total_bound": 1},
+            {"eigenspace_rank": 1, "total_multiplicity": 2, "p_divides_order": False},
         ]
         assert report.to_dict()["passed"] is False
+
+    @pytest.mark.parametrize("sigma,t,p,divides", [
+        ([[1]], 1, 3, False),  # rank 1 = chain sum 1, p does not divide 1
+        ([[0, -1], [1, 0]], 4, 5, False),  # rank 1 = chain sum 1, p does not divide 4
+        ([[0, 1], [1, 0]], 1, 2, True),  # X^2 - 1 = (X - 1)^2 mod 2: rank 1 < chain sum 2
+    ])
+    def test_rank_against_chain_sum(self, monkeypatch, sigma, t, p, divides):
+        # the true ranks pass; a rank above the chain sum breaks the rule, and
+        # one below it does only when p does not divide the order of sigma
+        pres = GaloisTorusPresentation(len(sigma), IntMatrix(sigma), t)
+        report = multiplicity_chain_check(pres, p)
+        assert report.passed
+        total = report.total_multiplicity
+        for rank, breach in ((total + 1, True), (total - 1, not divides)):
+            monkeypatch.setattr(torus_rank, "kernel_dim_mod_p", lambda m, q, r=rank: r)
+            expected = {"eigenspace_rank": rank, "total_multiplicity": total,
+                        "p_divides_order": divides}
+            violations = multiplicity_chain_check(pres, p).violations
+            assert violations == ([expected] if breach else [])
 
 
 class TestSharpConstruction:
