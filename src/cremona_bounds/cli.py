@@ -2,7 +2,10 @@
 
 Exit codes: 0 success / verification passed, 1 usage error, 2 domain error
 (DomainError or a subclass: invalid mathematical input, or an unreadable
-file), 3 verification failure (a checked invariant did not hold).
+file) or an output error (stdout cannot be written, e.g. a full disk), 3
+verification failure (a checked invariant did not hold). A reader that
+closes the pipe early ends the output quietly, with the result's own exit
+code; neither case prints a traceback.
 
 Each handler returns (inputs, results, pass) and builds no text; pass is
 None for a plain computation. `main` is the one renderer: JSON is the object
@@ -15,6 +18,7 @@ shared core (numth, cyclotomic) and nothing else.
 
 import argparse
 import json
+import os
 import sys
 
 from .cyclotomic import cyclotomic_poly, reduce_mod, verify_cyclotomic, verify_lemma_range
@@ -249,12 +253,21 @@ def main(argv=None) -> int:
         doc = {"command": args.subcommand, "inputs": inputs, "results": results}
         if passed is not None:
             doc["pass"] = passed
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
     else:
-        for key, value in results.items():
-            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
+        lines = [f"{key}: {value if isinstance(value, str) else json.dumps(value)}"
+                 for key, value in results.items()]
         if passed is not None:
-            print("PASS" if passed else "FAIL")
+            lines.append("PASS" if passed else "FAIL")
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # what stays buffered is flushed again at exit; the null device takes it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     return EXIT_VERIFICATION if passed is False else EXIT_OK
 
 

@@ -5,8 +5,8 @@ from .errors import DomainError, Record
 from .numth import (
     check_order_divides,
     check_prime,
+    factorize,
     multiplicative_order,
-    prime_power_decomposition,
     theorem_bound,
 )
 
@@ -16,7 +16,7 @@ MAX_FIELD_SIZE = 2**20
 
 def check_field_size(q: int) -> int:
     """Validate a field size: a prime power q in [2, 2^20], bounded before factoring."""
-    if type(q) is not int or q > MAX_FIELD_SIZE or prime_power_decomposition(q) is None:
+    if type(q) is not int or not 2 <= q <= MAX_FIELD_SIZE or len(factorize(q)) != 1:
         raise DomainError(f"q = {q} is not a prime power in [2, 2^20]")
     return q
 
@@ -27,15 +27,9 @@ class FiniteField(Record):
     def __init__(self, q):
         super().__init__(check_field_size(q))
 
-    def __str__(self):
-        return f"F_{self.q}"
-
 
 class Rationals(Record):
     __slots__ = ()
-
-    def __str__(self):
-        return "Q"
 
 
 class CyclotomicExtension(Record):
@@ -48,46 +42,32 @@ class CyclotomicExtension(Record):
             raise DomainError(f"cyclotomic extension index must be an integer >= 1: {m!r}")
         super().__init__(m)
 
-    def __str__(self):
-        return f"Q(zeta_{self.m})"
-
 
 class AlgebraicallyClosed(Record):
     __slots__ = ()
-
-    def __str__(self):
-        return "algebraically closed"
 
 
 class CremonaBound(Record):
     __slots__ = ("p", "t", "rank_bound", "attained_by")
 
 
-# Example of each rank a 2-dimensional torus attains, theorem_bound(2, t).
-_TORUS_EXAMPLES = {
+# Example attaining each rank: P1 x P1 for p = 2, the Fermat cubic for
+# (3, 1), else a 2-dimensional torus, whose bound floor(2 / phi(t)) is 0-2.
+_EXAMPLES = {
+    4: "(Z/2)^4 acting on P1 x P1",
+    3: "Fermat cubic surface, rank 3",
     2: "rank-2 torus witness",
     1: "rank-1 torus witness, t in {3, 4, 6}",
     0: "none (rank bound 0)",
 }
 
 
-def _table_row(p: int, t: int) -> tuple:
-    """(rank bound, attaining example): P1 x P1 for p = 2, the Fermat cubic
-    for (3, 1), else the bound floor(2 / phi(t)) of a 2-dimensional torus."""
-    check_order_divides(p, t)
-    if p == 2:
-        return 4, "(Z/2)^4 acting on P1 x P1"
-    if p == 3 and t == 1:
-        return 3, "Fermat cubic surface, rank 3"
-    rank = theorem_bound(2, t)
-    return rank, _TORUS_EXAMPLES[rank]
-
-
 def cremona_rank_bound(p: int, t: int) -> CremonaBound:
     """Maximal rank of a p-elementary subgroup of the plane Cremona group
     over a perfect field with p-th roots of unity of degree t."""
-    rank, example = _table_row(p, t)
-    return CremonaBound(p=p, t=t, rank_bound=rank, attained_by=example)
+    check_order_divides(p, t)
+    rank = 4 if p == 2 else 3 if p == 3 and t == 1 else theorem_bound(2, t)
+    return CremonaBound(p=p, t=t, rank_bound=rank, attained_by=_EXAMPLES[rank])
 
 
 def t_for_field(k, p: int) -> int:
@@ -95,7 +75,7 @@ def t_for_field(k, p: int) -> int:
     check_prime(p)
     if isinstance(k, FiniteField):
         if k.q % p == 0:
-            raise DomainError(f"p = {p} is the characteristic of {k}")
+            raise DomainError(f"p = {p} is the characteristic of F_{k.q}")
         return multiplicative_order(k.q, p)
     if isinstance(k, Rationals):
         return p - 1

@@ -16,12 +16,7 @@ from .cremona_table import MAX_FIELD_SIZE, FiniteField, check_field_size, t_for_
 from .cyclotomic import cyclotomic_poly
 from .errors import Record, VerificationError
 from .intlinalg import IntMatrix, finite_order_indices, smith_normal_form
-from .numth import (
-    check_order_divides,
-    check_prime,
-    multiplicative_order,
-    prime_power_decomposition,
-)
+from .numth import check_order_divides, check_prime, factorize, multiplicative_order
 
 
 class FiniteFieldTorus(Record):
@@ -74,7 +69,7 @@ def smallest_field_with_t(p: int, t: int) -> int:
     """Smallest prime power q with p not dividing q and ord of q mod p equal t."""
     check_order_divides(p, t)
     for q in range(2, MAX_FIELD_SIZE + 1):
-        if q % p == 0 or prime_power_decomposition(q) is None:
+        if q % p == 0 or len(factorize(q)) != 1:
             continue
         if multiplicative_order(q, p) == t:
             return q

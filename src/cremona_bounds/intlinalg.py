@@ -244,13 +244,13 @@ def cyclotomic_factorization(f: IntPoly) -> tuple:
     """Multiset of indices d_i with prod Phi_{d_i} = f, ascending.
 
     Greedy trial division, candidates ascending; the enumeration cap
-    d <= 2*deg^2 + 6 covers every d with phi(d) <= deg.
+    d <= 2*deg^2 covers every d with phi(d) <= deg, as phi(d) >= sqrt(d / 2).
     """
     if not f.is_monic() or f.degree < 1:
         raise DomainError("factorization needs a monic polynomial of degree >= 1")
     remaining = f
     indices = []
-    cap = 2 * f.degree**2 + 6
+    cap = 2 * f.degree**2
     for d in range(1, cap + 1):
         if euler_phi(d) > remaining.degree:
             continue

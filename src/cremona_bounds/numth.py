@@ -141,13 +141,3 @@ def residues_of_order(p: int, t: int) -> list:
         else:
             return sorted(pow(base, k, p) for k in range(1, t + 1) if math.gcd(k, t) == 1)
     raise VerificationError(f"no residue of order {t} found mod {p}")  # unreachable
-
-
-def prime_power_decomposition(q: int):
-    """Return (ell, m) with q = ell^m, ell prime, or None if q is not a prime power."""
-    if type(q) is not int or q < 2:
-        return None
-    fac = factorize(q)
-    if len(fac) != 1:
-        return None
-    return fac[0]

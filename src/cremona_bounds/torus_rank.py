@@ -76,12 +76,18 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     Also records the eigenspace rank at every order-t residue and checks it
     against the chain sum, which is the same at every such residue (fact (a)):
     when p does not divide the order N of sigma, X^N - 1 is separable mod p,
-    so sigma mod p is diagonalisable and the rank equals the sum; otherwise
-    it is at most the sum, and the ranks may differ across residues.
+    so sigma mod p is diagonalisable, the rank equals the sum and one kernel
+    at the canonical residue gives every entry; otherwise it is at most the
+    sum, the ranks may differ across residues, and each has its own kernel.
     """
     t = pres.chi_order
-    per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in _eigenvalues(p, t)}
-    eps = next(iter(per_eps))
+    eigenvalues = list(_eigenvalues(p, t))
+    eps = eigenvalues[0]
+    divides = math.lcm(*pres.char_poly_indices) % p == 0
+    if divides:
+        per_eps = {e: kernel_dim_mod_p(pres.sigma.shift(1, e), p) for e in eigenvalues}
+    else:
+        per_eps = dict.fromkeys(eigenvalues, kernel_dim_mod_p(pres.sigma.shift(1, eps), p))
     phi_t = euler_phi(t)
     factors, violations = [], []
     total = 0
@@ -103,7 +109,6 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     total_bound = theorem_bound(pres.dimension, t)
     if total > total_bound:
         violations.append({"total_multiplicity": total, "total_bound": total_bound})
-    divides = math.lcm(*pres.char_poly_indices) % p == 0
     for rank in sorted(set(per_eps.values())):
         if rank > total or (rank < total and not divides):
             violations.append({"eigenspace_rank": rank, "total_multiplicity": total,

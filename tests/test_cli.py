@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -488,6 +492,46 @@ class TestOneRenderer:
         fields = dict(line.split(": ", 1) for line in text.splitlines())
         assert fields.pop("polynomial") == doc["results"].pop("polynomial")
         assert {k: json.loads(v) for k, v in fields.items()} == doc["results"]
+
+
+CLI_CHILD = "import sys\nfrom cremona_bounds.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def cli_child(*argv, prelude="", **kwargs):
+    """A fresh interpreter running the CLI on argv, after prelude."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"{prelude}\n{CLI_CHILD}"
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+class TestOutputErrors:
+    """stdout that cannot be written ends the run without a traceback."""
+
+    @pytest.mark.parametrize("argv,prelude,read,expected", [
+        # 272 kB of JSON: the child blocks on a full pipe until the reader leaves
+        (["cyclotomic", "--n", "120120", "--format", "json"], "", 100, 0),
+        (["weyl-audit"], "from cremona_bounds import weyl_audit\n"
+         "weyl_audit.ALLOWED_INDICES = {1, 2, 3}", 0, 3),
+    ], ids=["pass-after-100-bytes", "fail-before-any-byte"])
+    def test_closed_pipe_ends_quietly(self, argv, prelude, read, expected):
+        child = cli_child(*argv, prelude=prelude, stdout=subprocess.PIPE)
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == expected
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2(self):
+        with open("/dev/full", "wb") as full:
+            child = cli_child("bound", "--p", "3", "--t", "1", stdout=full)
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err.decode().splitlines() == [
+            "output error: [Errno 28] No space left on device"]
 
 
 class TestInputSchema:

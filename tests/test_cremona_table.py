@@ -1,5 +1,6 @@
+import re
 import time
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -8,6 +9,7 @@ from cremona_bounds.cremona_table import (
     CyclotomicExtension,
     FiniteField,
     Rationals,
+    check_field_size,
     cremona_rank_bound,
     t_for_field,
 )
@@ -75,6 +77,23 @@ class TestCremonaRankBound:
                     bound = cremona_rank_bound(p, t).rank_bound
                     assert bound == theorem_bound(2, t), (p, t)
 
+    def test_every_row_below_400(self):
+        # eq. (11): 4 for p = 2, 3 for (3, 1), else floor(2 / phi(t)), with
+        # phi counted here by gcd
+        examples = {2: "rank-2 torus witness", 1: "rank-1 torus witness, t in {3, 4, 6}",
+                    0: "none (rank bound 0)"}
+        for p in filter(is_prime, range(2, 400)):
+            for t in (t for t in range(1, p) if (p - 1) % t == 0):
+                phi = sum(gcd(k, t) == 1 for k in range(1, t + 1))
+                if p == 2:
+                    row = (4, "(Z/2)^4 acting on P1 x P1")
+                elif (p, t) == (3, 1):
+                    row = (3, "Fermat cubic surface, rank 3")
+                else:
+                    row = (2 // phi, examples[2 // phi])
+                bound = cremona_rank_bound(p, t)
+                assert (bound.p, bound.t, bound.rank_bound, bound.attained_by) == (p, t, *row)
+
 
 def attaining_example(p, t):
     return cremona_rank_bound(p, t).attained_by
@@ -118,6 +137,30 @@ def test_invalid_pair_rejected_by_the_one_check(check, p, t, message):
         check(p, t)
 
 
+def is_prime_power(q):
+    """q >= 2 is a power of its least divisor above 1, by trial division."""
+    ell = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    while q % ell == 0:
+        q //= ell
+    return q == 1
+
+
+class TestCheckFieldSize:
+    def test_accepts_exactly_the_prime_powers(self):
+        for q in (*range(2, 5001), *range(2**20 - 999, 2**20 + 1)):
+            try:
+                accepted = check_field_size(q) == q
+            except DomainError:
+                accepted = False
+            assert accepted == is_prime_power(q), q
+
+    @pytest.mark.parametrize("q", [0, 1, -8, 6, 12, 2**20 + 1, 2**61 - 1, True, 4.0])
+    def test_message(self, q):
+        message = f"q = {q} is not a prime power in [2, 2^20]"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_field_size(q)
+
+
 class TestTForField:
     def test_rationals(self):
         assert t_for_field(Rationals(), 5) == 4
@@ -153,6 +196,8 @@ class TestTForField:
     def test_excluded_characteristic(self):
         with pytest.raises(DomainError):
             t_for_field(FiniteField(8), 2)
+        with pytest.raises(DomainError, match="^p = 3 is the characteristic of F_9$"):
+            t_for_field(FiniteField(9), 3)
 
     def test_bad_descriptors(self):
         with pytest.raises(DomainError):

@@ -16,10 +16,11 @@ distinct Phi_m of degree 4 to 6: a cyclic lattice, which can differ from
 the block sum of its factors when p divides the order N of sigma.
 
 Every case checks, for each p in SWEEP_P and each t | p - 1, that the
-multiplicity chain passes, that every per-eps rank is at most
-floor(d / phi(t)), and that the rank at the canonical eps equals the chain
-sum when p does not divide N (X^N - 1 is then separable mod p) and is at
-most it otherwise; and, for each q in SWEEP_Q and each p not dividing q,
+multiplicity chain passes, that every per-eps rank equals dim ker(sigma -
+eps I mod p), computed here for each eps, and is at most floor(d / phi(t)),
+and that the rank at the canonical eps equals the chain sum when p does
+not divide N (X^N - 1 is then separable mod p) and is at most it
+otherwise; and, for each q in SWEEP_Q and each p not dividing q,
 that the p-elementary rank of T(F_q) equals dim ker(q sigma - I mod p),
 both at most floor(d / phi(ord_p q)).
 """
@@ -77,7 +78,9 @@ def cyclic_lattices() -> tuple:
 
 def chain_cases(matrices) -> tuple:
     """(cases, cases with rank < chain sum) over every sigma, p in SWEEP_P
-    and t | p - 1; asserts the chain, the bound and the equality rule."""
+    and t | p - 1; asserts the chain, that every per-eps entry is the kernel
+    dimension of sigma - eps I mod p and within the bound, and the equality
+    rule."""
     cases = strict = 0
     for sigma in matrices:
         d, indices = sigma.dimension, finite_order_indices(sigma)
@@ -88,7 +91,10 @@ def chain_cases(matrices) -> tuple:
                 case = (sigma, p, t)
                 assert report.passed, case
                 bound = d // euler_phi(t)
-                assert all(r <= bound for r in report.per_eps_eigenspace_rank.values()), case
+                for e, r in report.per_eps_eigenspace_rank.items():
+                    # the chain takes one kernel for every eps when p does not
+                    # divide N; the kernel at each eps is computed here
+                    assert r == kernel_dim_mod_p(sigma.shift(1, e), p) <= bound, (case, e)
                 rank = report.per_eps_eigenspace_rank[report.eps]
                 if order % p:
                     assert rank == report.total_multiplicity, case

@@ -308,6 +308,19 @@ class TestCyclotomicFactorization:
                 f = f * cyclotomic_poly(n)
             assert cyclotomic_factorization(f) == tuple(indices)
 
+    def test_cap_covers_every_candidate(self):
+        # phi by a sieve up to 4 * 64^2: every d with phi(d) <= deg is at most
+        # 2 deg^2, the enumeration cap, for each degree up to the 64 x 64 cap
+        top = 4 * 64**2
+        phi = list(range(top + 1))
+        for n in range(2, top + 1):
+            if phi[n] == n:
+                for m in range(n, top + 1, n):
+                    phi[m] -= phi[m] // n
+        for deg in range(1, 65):
+            worst = max(d for d in range(1, 4 * deg**2 + 1) if phi[d] <= deg)
+            assert worst <= 2 * deg**2, deg
+
     def test_totient_sum_equals_degree(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -7,7 +7,7 @@ from cremona_bounds import intlinalg, torus_rank
 from cremona_bounds.cyclotomic import cyclotomic_poly
 from cremona_bounds.errors import DomainError
 from cremona_bounds.intlinalg import IntMatrix, companion_matrix
-from cremona_bounds.numth import euler_phi, is_prime
+from cremona_bounds.numth import euler_phi, is_prime, residues_of_order
 from cremona_bounds.sampling import random_finite_order_matrix, random_unimodular
 from cremona_bounds.torus_rank import (
     GaloisTorusPresentation,
@@ -207,6 +207,36 @@ class TestMultiplicityChain:
                         "p_divides_order": divides}
             violations = multiplicity_chain_check(pres, p).violations
             assert violations == ([expected] if breach else [])
+
+
+    @pytest.mark.parametrize("index,t,p,divides", [
+        (4, 4, 13, False),
+        (12, 12, 13, False),
+        (1, 6, 7, False),
+        (5, 4, 5, True),
+        (11, 10, 11, True),
+        (13, 12, 13, True),
+    ])
+    def test_one_kernel_unless_p_divides_the_order(self, monkeypatch, index, t, p,
+                                                   divides):
+        # p not dividing N makes sigma mod p diagonalisable, so one kernel at
+        # the canonical eps gives every entry; p | N keeps one kernel per eps
+        sigma = companion_matrix(cyclotomic_poly(index))
+        calls = []
+
+        def spy(m, q):
+            calls.append(m)
+            return intlinalg.kernel_dim_mod_p(m, q)
+
+        monkeypatch.setattr(torus_rank, "kernel_dim_mod_p", spy)
+        pres = GaloisTorusPresentation(sigma.dimension, sigma, t)
+        report = multiplicity_chain_check(pres, p)
+        assert report.passed
+        assert len(calls) == (euler_phi(t) if divides else 1)
+        inverses = [pow(r, -1, p) for r in residues_of_order(p, t)]
+        assert list(report.per_eps_eigenspace_rank) == inverses
+        for eps, rank in report.per_eps_eigenspace_rank.items():
+            assert rank == intlinalg.kernel_dim_mod_p(sigma.shift(1, eps), p), eps
 
 
 class TestSharpConstruction:
