@@ -13,7 +13,9 @@ None for a plain computation. `main` is the one renderer: JSON is the object
 field (strings as they are, other values as JSON), then PASS or FAIL.
 
 Each handler imports the layers it runs: a subcommand loads those and the
-shared core (numth, cyclotomic) and nothing else.
+shared core (numth, cyclotomic) and nothing else. `torus-rank` runs the
+multiplicity chain once, which lists the order-t residues and takes the
+kernels, and reads its rank certificate from the chain's report.
 """
 
 import argparse
@@ -136,15 +138,14 @@ def cmd_bound(args):
 
 
 def cmd_torus_rank(args):
-    from .torus_rank import fixed_point_rank, multiplicity_chain_check
+    from .torus_rank import RankCertificate, multiplicity_chain_check
 
     pres = load_presentation(args.file)
-    cert = fixed_point_rank(pres, args.p)
     chain = multiplicity_chain_check(pres, args.p)
     results = {
         "dimension": pres.dimension,
         "chi_order": pres.chi_order,
-        "certificate": cert.to_dict(),
+        "certificate": RankCertificate.from_chain(pres, chain).to_dict(),
         "multiplicity_chain": chain.to_dict(),
     }
     return {"file": args.file, "p": args.p}, results, chain.passed

@@ -35,6 +35,7 @@ from operator import add, index, mul
 from .errors import DomainError, Report, VerificationError
 from .numth import (
     check_prime,
+    check_residue_count,
     divisors,
     euler_phi,
     factorize,
@@ -485,8 +486,10 @@ def verify_lemma_range(n_max: int, primes) -> Report:
         divide n and n p^f is a supported cyclotomic index, by one product:
         Phi_{nq} * Phi_n(X^(q/p)) = Phi_n(X^q) mod p for q = p^f (Frobenius).
 
-    Residues are built once per (p, t). Failures land in the counterexample
-    list by p, t and n, fact (c)'s last for each p; none are expected.
+    Residues are built once per (p, t); a prime p with phi(p - 1) above
+    MAX_RESIDUES raises DomainError before its first cell. Failures land in
+    the counterexample list by p, t and n, fact (c)'s last for each p; none
+    are expected.
     """
     if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"n_max out of range [1, 10^6]: {n_max}")
@@ -494,6 +497,7 @@ def verify_lemma_range(n_max: int, primes) -> Report:
     report = Report(n_max=n_max, primes=list(primes), checks_run=0,
                     counterexamples=[])
     for p in primes:
+        check_residue_count(p, p - 1)  # phi(p - 1) is the largest phi(t), t | p - 1
         for t in divisors(p - 1):
             residues = residues_of_order(p, t)
             for n in range(1, n_max + 1):

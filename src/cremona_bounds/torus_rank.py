@@ -45,29 +45,23 @@ class GaloisTorusPresentation(Record):
 class RankCertificate(Record):
     __slots__ = ("upper_bound", "eigenspace_rank", "char_poly_indices", "eps_used")
 
-
-def _eigenvalues(p: int, t: int):
-    """Inverses mod p of the residues of order t, by ascending residue, so the
-    canonical eigenvalue comes first; DomainError unless p is prime and t
-    divides p - 1 (no Galois element realizes t)."""
-    return (pow(residue, -1, p) for residue in residues_of_order(p, t))
+    @classmethod
+    def from_chain(cls, pres: GaloisTorusPresentation, chain: Report) -> "RankCertificate":
+        """The chain's bound and its eigenspace rank at the canonical eigenvalue;
+        VerificationError if that rank exceeds the bound."""
+        rank, bound = chain.per_eps_eigenspace_rank[chain.eps], chain.total_bound
+        if rank > bound:
+            raise VerificationError(
+                f"eigenspace rank {rank} exceeds bound {bound}: theorem violated"
+            )
+        return cls(bound, rank, pres.char_poly_indices, chain.eps)
 
 
 def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
-    """Eigenspace rank of the mod-p action at the inverse character value."""
-    eps = next(_eigenvalues(p, pres.chi_order))
-    rank = kernel_dim_mod_p(pres.sigma.shift(1, eps), p)
-    bound = theorem_bound(pres.dimension, pres.chi_order)
-    if rank > bound:
-        raise VerificationError(
-            f"eigenspace rank {rank} exceeds bound {bound}: theorem violated"
-        )
-    return RankCertificate(
-        upper_bound=bound,
-        eigenspace_rank=rank,
-        char_poly_indices=pres.char_poly_indices,
-        eps_used=eps,
-    )
+    """Eigenspace rank of the mod-p action at the inverse character value,
+    read from `multiplicity_chain_check`, which lists the eigenvalues and
+    takes the kernels; VerificationError if it exceeds floor(d / phi(t))."""
+    return RankCertificate.from_chain(pres, multiplicity_chain_check(pres, p))
 
 
 def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
@@ -79,9 +73,15 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     so sigma mod p is diagonalisable, the rank equals the sum and one kernel
     at the canonical residue gives every entry; otherwise it is at most the
     sum, the ranks may differ across residues, and each has its own kernel.
+    `RankCertificate.from_chain` reads the certificate of `fixed_point_rank`
+    and `torus-rank` from the entry at eps, so they list no residue and take
+    no kernel of their own.
     """
     t = pres.chi_order
-    eigenvalues = list(_eigenvalues(p, t))
+    # the canonical eigenvalue eps comes first: the inverse mod p of the
+    # smallest residue of order t; DomainError unless p is prime and t
+    # divides p - 1 (no Galois element realizes t)
+    eigenvalues = [pow(residue, -1, p) for residue in residues_of_order(p, t)]
     eps = eigenvalues[0]
     divides = math.lcm(*pres.char_poly_indices) % p == 0
     if divides:

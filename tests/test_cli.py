@@ -22,7 +22,7 @@ from cremona_bounds import (
 from cremona_bounds.cli import main
 from cremona_bounds.cyclotomic import IntPoly
 from cremona_bounds.intlinalg import IntMatrix
-from cremona_bounds.numth import divisors
+from cremona_bounds.numth import MAX_RESIDUES, divisors
 
 
 def run(capsys, *argv):
@@ -282,6 +282,28 @@ class TestTorusRank:
             {"eigenspace_rank": 1, "total_multiplicity": 0, "p_divides_order": False}
         ]
 
+    def test_one_residue_list_and_one_kernel(self, capsys, tmp_path, monkeypatch):
+        # 13 does not divide the order 4 of sigma: the chain lists the two
+        # order-4 residues once and takes one kernel, and the certificate is
+        # its entry at the canonical eps
+        calls = []
+        residues, kernel = torus_rank.residues_of_order, torus_rank.kernel_dim_mod_p
+        monkeypatch.setattr(torus_rank, "residues_of_order",
+                            lambda p, t: calls.append("residues") or residues(p, t))
+        monkeypatch.setattr(torus_rank, "kernel_dim_mod_p",
+                            lambda m, p: calls.append("kernel") or kernel(m, p))
+        path = write_json(
+            tmp_path, "torus.json", {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4}
+        )
+        code, out, _ = run(capsys, "torus-rank", "--file", path, "--p", "13", "--format", "json")
+        assert code == 0
+        assert calls == ["residues", "kernel"]
+        results = json.loads(out)["results"]
+        cert, chain = results["certificate"], results["multiplicity_chain"]
+        assert cert == {"upper_bound": chain["total_bound"],
+                        "eigenspace_rank": chain["per_eps_eigenspace_rank"][str(chain["eps"])],
+                        "char_poly_indices": [4], "eps_used": chain["eps"]}
+
     def test_char_poly_det_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         # char poly of the rotation is X^2 + 1, so c_0 = 1; det faked to 7
         # makes the c_0 = (-1)^d det M cross-check fail
@@ -534,6 +556,39 @@ class TestOutputErrors:
             "output error: [Errno 28] No space left on device"]
 
 
+class TestResidueCap:
+    """Order-t residue counts above MAX_RESIDUES exit 2 at once. Each child
+    runs under a 1 GiB address-space limit, so a missing cap fails the test
+    with a MemoryError instead of filling the machine's memory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["torus-rank", "--file", "{file}", "--p", "2147483647"],
+        ["lemma", "--max-n", "5", "--primes", "2147483647"],
+    ], ids=["torus-rank", "lemma"])
+    def test_over_cap_exits_2_at_once(self, tmp_path, argv):
+        import resource
+
+        path = write_json(tmp_path, "torus.json",
+                          {"dimension": 1, "sigma": [[1]], "chi_order": 2**31 - 2})
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        start = time.perf_counter()
+        child = cli_child(*(a.format(file=path) for a in argv), stdout=subprocess.PIPE,
+                          preexec_fn=limit)
+        try:
+            out, err = child.communicate(timeout=20)
+        finally:
+            child.kill()
+        elapsed = time.perf_counter() - start
+        assert (child.returncode, out) == (2, b"")
+        assert err.decode().splitlines() == [
+            f"domain error: phi(2147483646) = 534600000 residues exceed the cap of "
+            f"{MAX_RESIDUES}"]
+        assert elapsed < 2
+
+
 class TestInputSchema:
     @pytest.mark.parametrize(
         "command,doc,message",
@@ -639,7 +694,9 @@ class TestExitCodeFuzz:
     """Generated torus-rank and oracle --file inputs: every run returns 0,
     1, 2 or 3 within 2 s, and no exception escapes main. A chi_order that
     divides p - 1 is at most 12 here, as the work per order-t residue grows
-    with phi(t), a known cost of its own."""
+    with phi(t), a known cost of its own; the one larger draw, 2^31 - 2, has
+    phi = 534,600,000 above MAX_RESIDUES, so with p = 2^31 - 1 torus-rank
+    must exit 2 before it lists any residue."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -653,7 +710,7 @@ class TestExitCodeFuzz:
                     st.sampled_from([6, 1, 0, -4, 2**20 + 1, 2**61 - 1, HUGE])),
         p=st.one_of(st.sampled_from([3, 5, 7, 2**31 - 1]),
                     st.sampled_from([2**31, 2**31 + 1, 9, -3, "x"])),
-        chi_order=st.one_of(st.integers(1, 12), st.sampled_from([0, -1, HUGE])),
+        chi_order=st.one_of(st.integers(1, 12), st.sampled_from([0, -1, HUGE, 2**31 - 2])),
         fmt=st.sampled_from(["text", "json"]),
     )
     # the generated draws of this kind stay small; at d = 64 its entries
@@ -662,6 +719,9 @@ class TestExitCodeFuzz:
              chi_order=1, fmt="json")
     @example(command="oracle", kind="dense multiple of P", seed=7, d=64, q=4, p=3,
              chi_order=1, fmt="json")
+    # the residue cap, whatever the generated draws meet
+    @example(command="torus-rank", kind="finite order", seed=0, d=1, q=4, p=2**31 - 1,
+             chi_order=2**31 - 2, fmt="json")
     def test_exit_code_and_time(self, capsys, tmp_path, command, kind, seed, d, q, p,
                                 chi_order, fmt):
         sigma = _sigma_kinds(random.Random(seed), d)[kind]()
@@ -678,4 +738,6 @@ class TestExitCodeFuzz:
         elapsed = time.perf_counter() - start
         capsys.readouterr()
         assert code in (0, 1, 2, 3)
+        if command == "torus-rank" and (p, chi_order) == (2**31 - 1, 2**31 - 2):
+            assert code == 2
         assert elapsed < 2, f"{kind}, d = {d}: {elapsed:.2f} s"

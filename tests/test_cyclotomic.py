@@ -24,6 +24,7 @@ from cremona_bounds.cyclotomic import (
 )
 from cremona_bounds.errors import DomainError, VerificationError
 from cremona_bounds.numth import (
+    MAX_RESIDUES,
     divisors,
     euler_phi,
     factorize,
@@ -415,6 +416,54 @@ class TestResiduesOfOrder:
         assert factored == [t]
         assert len(residues) == euler_phi(t)
         assert all(multiplicative_order(eps, p) == t for eps in residues)
+
+
+class TestResidueCap:
+    """phi(t) above MAX_RESIDUES raises DomainError before any residue is
+    listed; below it, the residues are listed as before."""
+
+    P = 2**31 - 1  # phi(P - 1) = 534,600,000
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        # the scan for a base of order t calls pow first; is_prime(P), which
+        # calls it too, is cached before the spy goes in
+        assert is_prime(self.P)
+
+        def forbidden(*args):
+            raise AssertionError("the residue scan started")
+
+        monkeypatch.setattr(numth, "pow", forbidden, raising=False)
+
+    @pytest.mark.parametrize("call", [
+        lambda p, t: residues_of_order(p, t),
+        lambda p, t: order_t_multiplicity(10**6, p, t),
+    ], ids=["residues_of_order", "order_t_multiplicity"])
+    def test_over_cap_builds_nothing(self, no_scan, monkeypatch, call):
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", None)
+        start = time.perf_counter()
+        message = f"phi\\({self.P - 1}\\) = 534600000 residues exceed the cap of {MAX_RESIDUES}"
+        with pytest.raises(DomainError, match=message):
+            call(self.P, self.P - 1)
+        assert time.perf_counter() - start < 0.5
+
+    def test_lemma_checks_before_any_cell(self, no_scan, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "residues_of_order", None)
+        with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUES}"):
+            verify_lemma_range(5, {self.P})
+
+    def test_cap_boundary(self, monkeypatch):
+        # with the cap at 4 mod 31: phi(10) = 4 and phi(6) = 2 pass (6 is above
+        # the cap, so it is factored), phi(15) = phi(30) = 8 do not
+        monkeypatch.setattr(numth, "MAX_RESIDUES", 4)
+        for t in (1, 2, 3, 5, 6, 10):
+            assert len(residues_of_order(31, t)) == euler_phi(t)
+        for t in (15, 30):
+            with pytest.raises(DomainError, match="cap of 4"):
+                residues_of_order(31, t)
+        assert verify_lemma_range(3, {11}).passed  # phi(10) = 4
+        with pytest.raises(DomainError, match="phi\\(30\\) = 8 residues exceed the cap of 4"):
+            verify_lemma_range(3, {31})
 
 
 def _shift_multiplicity(pbar: ModPoly, eps: int) -> int:

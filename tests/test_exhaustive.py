@@ -18,9 +18,10 @@ the block sum of its factors when p divides the order N of sigma.
 Every case checks, for each p in SWEEP_P and each t | p - 1, that the
 multiplicity chain passes, that every per-eps rank equals dim ker(sigma -
 eps I mod p), computed here for each eps, and is at most floor(d / phi(t)),
-and that the rank at the canonical eps equals the chain sum when p does
-not divide N (X^N - 1 is then separable mod p) and is at most it
-otherwise; and, for each q in SWEEP_Q and each p not dividing q,
+that fixed_point_rank certifies that kernel at the canonical eps with the
+bound floor(d / phi(t)), and that the rank at the canonical eps equals the
+chain sum when p does not divide N (X^N - 1 is then separable mod p) and is
+at most it otherwise; and, for each q in SWEEP_Q and each p not dividing q,
 that the p-elementary rank of T(F_q) equals dim ker(q sigma - I mod p),
 both at most floor(d / phi(ord_p q)).
 """
@@ -47,7 +48,11 @@ from cremona_bounds.intlinalg import (
 )
 from cremona_bounds.numth import divisors, euler_phi, multiplicative_order
 from cremona_bounds.sweeps import SWEEP_P, SWEEP_Q
-from cremona_bounds.torus_rank import GaloisTorusPresentation, multiplicity_chain_check
+from cremona_bounds.torus_rank import (
+    GaloisTorusPresentation,
+    fixed_point_rank,
+    multiplicity_chain_check,
+)
 
 
 @cache
@@ -79,22 +84,29 @@ def cyclic_lattices() -> tuple:
 def chain_cases(matrices) -> tuple:
     """(cases, cases with rank < chain sum) over every sigma, p in SWEEP_P
     and t | p - 1; asserts the chain, that every per-eps entry is the kernel
-    dimension of sigma - eps I mod p and within the bound, and the equality
-    rule."""
+    dimension of sigma - eps I mod p and within the bound, that
+    fixed_point_rank certifies that kernel at the report's eps with the bound
+    floor(d / phi(t)), and the equality rule."""
     cases = strict = 0
     for sigma in matrices:
         d, indices = sigma.dimension, finite_order_indices(sigma)
         order = lcm(*indices)
         for p in SWEEP_P:
             for t in divisors(p - 1):
-                report = multiplicity_chain_check(GaloisTorusPresentation(d, sigma, t), p)
+                pres = GaloisTorusPresentation(d, sigma, t)
+                report = multiplicity_chain_check(pres, p)
                 case = (sigma, p, t)
                 assert report.passed, case
                 bound = d // euler_phi(t)
+                kernels = {}
                 for e, r in report.per_eps_eigenspace_rank.items():
                     # the chain takes one kernel for every eps when p does not
                     # divide N; the kernel at each eps is computed here
-                    assert r == kernel_dim_mod_p(sigma.shift(1, e), p) <= bound, (case, e)
+                    kernels[e] = kernel_dim_mod_p(sigma.shift(1, e), p)
+                    assert r == kernels[e] <= bound, (case, e)
+                cert = fixed_point_rank(pres, p)
+                assert cert.eigenspace_rank == kernels[report.eps], case
+                assert (cert.upper_bound, cert.eps_used) == (bound, report.eps), case
                 rank = report.per_eps_eigenspace_rank[report.eps]
                 if order % p:
                     assert rank == report.total_multiplicity, case
