@@ -23,7 +23,11 @@ Integer digits are signed and packed with a bias; residues mod p are unsigned
 digits, at most nonzero * (p - 1)^2 in a product, reduced mod p once unpacked.
 
 A squarefree Phi_n multiplies out its numerator on one packed integer and
-divides per residue class or per block of coefficients, whichever is fewer.
+divides per residue class or per block of coefficients, whichever is fewer,
+up to the middle degree; the upper half is the mirror image (Phi_n is
+palindromic for n > 1). `verify_cyclotomic` proves a result by the
+untruncated identity on packed integers, at no cost to the library callers
+that build many Phi_n.
 """
 
 import math
@@ -341,11 +345,15 @@ def cyclotomic_poly(n: int) -> IntPoly:
     A squarefree index n > 1 uses the sparse product
     Phi_n = prod_{d|n} (1 - X^d)^mu(n/d) of Arnold & Monagan, "Calculating
     cyclotomic polynomials", Math. Comp. 80 (2011), as power series truncated
-    past degree phi(n): the factors with mu = +1 are shifts and subtractions
-    of one packed integer (`_truncated_numerator`), and each 1 / (1 - X^d) is
-    running sums, per residue class mod d or per block of d coefficients,
-    whichever takes fewer Python steps. A non-squarefree index n reduces to
-    its radical r via Phi_n(X) = Phi_r(X^(n/r)).
+    past degree ceil(phi(n) / 2): the factors with mu = +1 are shifts and
+    subtractions of one packed integer (`_truncated_numerator`), and each
+    1 / (1 - X^d) is running sums, per residue class mod d or per block of d
+    coefficients, whichever takes fewer Python steps. Phi_n is palindromic
+    for n > 1, so the upper half is the lower half's mirror image; phi(n) is
+    even for n > 2, and Phi_2 = 1 + X is built whole. A non-squarefree index
+    n reduces to its radical r via Phi_n(X) = Phi_r(X^(n/r)). The result is
+    not checked here; `verify_cyclotomic` proves it by the untruncated
+    identity.
     """
     if not isinstance(n, int) or n < 1 or n > MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"cyclotomic index out of range [1, 10^6]: {n!r}")
@@ -359,7 +367,8 @@ def cyclotomic_poly(n: int) -> IntPoly:
     terms = [(1, len(primes) % 2)]
     for q in primes:
         terms += [(d * q, odd ^ 1) for d, odd in terms]
-    size = euler_phi(n) + 1
+    phi = euler_phi(n)
+    size = (phi + 1) // 2 + 1
     # a factor 1 - X^d with d >= size leaves the truncated series as it is
     coeffs = _truncated_numerator([d for d, odd in terms if not odd and d < size], size)
     for d in [d for d, odd in terms if odd and d < size]:
@@ -369,24 +378,42 @@ def cyclotomic_poly(n: int) -> IntPoly:
         else:
             for j in range(d, size, d):
                 coeffs[j:j + d] = map(add, coeffs[j:j + d], coeffs[j - d:j])
+    # c_i = c_(phi - i): append c_(phi/2 - 1), ..., c_0, none for phi = 1
+    coeffs += reversed(coeffs[:phi // 2])
     return IntPoly(coeffs)
 
 
 def verify_cyclotomic(n: int, poly: IntPoly) -> None:
-    """Raise VerificationError unless poly has three properties of Phi_n:
-    degree phi(n), palindromic coefficients for n > 1, and value at 1 equal to
-    0 for n = 1, l for a prime power n = l^k, and 1 otherwise. Each costs
-    O(phi(n)) and tests the result, not the construction.
+    """Raise VerificationError unless poly is Phi_n.
+
+    With r the radical of n and k = n / r, Phi_n = Q(X^k) for Q = Phi_r, so
+    poly's stride must be a multiple of k; and Q is the one polynomial over Z
+    with Q * prod_{D-} (X^d - 1) = prod_{D+} (X^d - 1), where D+ and D- are
+    the d | r with mu(r/d) = +1 and -1 (Z[X] has no zero divisors); for
+    n = 1 that reads Q = X - 1. This is the identity `cyclotomic_poly`
+    truncates, checked whole and by multiplication, with its divisors read
+    from `divisors` and `factorize`, on the values at b = 2^w: each factor
+    X^d - 1 at most doubles the height, so with
+    w >= bits(H(Q)) + max(|D-|, |D+|) + 2, rounded up to whole bytes, both
+    sides have height below b/2, and their values at b determine them. The
+    degree, the palindromy and the value at 1 of Phi_n all follow.
     """
-    coeffs = poly.coeffs
-    if poly.degree != euler_phi(n):
-        raise VerificationError(f"deg Phi_{n} = {poly.degree} is not phi({n}) = {euler_phi(n)}")
-    if n > 1 and coeffs != coeffs[::-1]:
-        raise VerificationError(f"Phi_{n} is not palindromic")
-    primes = factorize(n)
-    expected = 0 if n == 1 else primes[0][0] if len(primes) == 1 else 1
-    if sum(coeffs) != expected:
-        raise VerificationError(f"Phi_{n}(1) = {sum(coeffs)}, expected {expected}")
+    r = math.prod(q for q, _ in factorize(n))
+    k = n // r
+    short = _spread(poly._short, poly.stride // k)  # Q, when poly = Q(X^k)
+    # d ascending: each factor costs the length of the value so far
+    minus = [d for d in divisors(r) if len(factorize(r // d)) % 2]
+    plus = [d for d in divisors(r) if len(factorize(r // d)) % 2 == 0]
+    height = max(map(abs, short), default=0)
+    nbytes = (height.bit_length() + max(len(minus), len(plus)) + 2 + 7) // 8
+    left, right = _pack(short, nbytes), 1
+    for d in minus:
+        left = (left << 8 * nbytes * d) - left
+    for d in plus:
+        right = (right << 8 * nbytes * d) - right
+    if poly.stride % k or left != right:
+        raise VerificationError(
+            f"Phi_{n} is not Q(X^{k}) with Q = prod_(d | {r}) (X^d - 1)^mu({r}/d)")
 
 
 def reduce_mod(poly: IntPoly, p: int) -> ModPoly:

@@ -20,9 +20,9 @@ from cremona_bounds import (
     weyl_audit,
 )
 from cremona_bounds.cli import main
-from cremona_bounds.cyclotomic import IntPoly
+from cremona_bounds.cyclotomic import IntPoly, cyclotomic_poly
 from cremona_bounds.intlinalg import IntMatrix
-from cremona_bounds.numth import MAX_RESIDUES, divisors
+from cremona_bounds.numth import MAX_RESIDUES, divisors, euler_phi
 
 
 def run(capsys, *argv):
@@ -107,19 +107,37 @@ class TestCyclotomic:
         assert code == 0
         assert json.loads(out)["results"]["degree"] == 92160
 
-    # each wrong polynomial breaks exactly one of the three run-time checks
+    # the first four each broke exactly one of the degree, palindromy and
+    # value-at-1 checks that the identity replaced; Phi_12 = 1 - X^2 + X^4
     @pytest.mark.parametrize("n, coeffs, message", [
-        (5, (1, 1, 1, 1, 1, 1), "is not phi(5)"),
-        (5, (1, 2, 0, 1, 1), "not palindromic"),
-        (5, (1, 0, 1, 0, 1), "Phi_5(1) = 3, expected 5"),
-        (1, (1, 1), "Phi_1(1) = 2, expected 0"),
-    ], ids=["degree", "palindrome", "value-at-1", "value-at-1-n1"])
+        (5, (1, 1, 1, 1, 1, 1), "Phi_5 is not Q(X^1) with Q = prod_(d | 5)"),
+        (5, (1, 2, 0, 1, 1), "Phi_5 is not Q(X^1) with Q = prod_(d | 5)"),
+        (5, (1, 0, 1, 0, 1), "Phi_5 is not Q(X^1) with Q = prod_(d | 5)"),
+        (1, (1, 1), "Phi_1 is not Q(X^1) with Q = prod_(d | 1)"),
+        (12, (1, 0, 0, 0, 1), "Phi_12 is not Q(X^2) with Q = prod_(d | 6)"),
+        (12, (1, 1, -1, 0, 1), "Phi_12 is not Q(X^2) with Q = prod_(d | 6)"),
+    ], ids=["degree", "palindrome", "value-at-1", "value-at-1-n1",
+            "non-squarefree", "non-squarefree-stride"])
     def test_wrong_polynomial_exits_3(self, capsys, monkeypatch, n, coeffs, message):
         monkeypatch.setattr("cremona_bounds.cli.cyclotomic_poly", lambda n: IntPoly(coeffs))
         code, out, err = run(capsys, "cyclotomic", "--n", str(n), "--format", "json")
         assert code == 3
         assert out == ""
         assert "verification failure" in err and message in err
+
+    def test_symmetric_pair_mutant_exits_3(self, capsys, monkeypatch):
+        # +1 at i and deg - i, -1 at j and deg - j keeps the degree, the
+        # palindromy and the value at 1, so only the identity sees it
+        coeffs = list(cyclotomic_poly(3003).coeffs)
+        deg = len(coeffs) - 1
+        for i, delta in ((100, 1), (333, -1)):
+            coeffs[i] += delta
+            coeffs[deg - i] += delta
+        assert deg == euler_phi(3003) and coeffs == coeffs[::-1] and sum(coeffs) == 1
+        monkeypatch.setattr("cremona_bounds.cli.cyclotomic_poly", lambda n: IntPoly(coeffs))
+        code, out, err = run(capsys, "cyclotomic", "--n", "3003", "--format", "json")
+        assert (code, out) == (3, "")
+        assert "verification failure: Phi_3003 is not Q(X^1)" in err
 
 
 class TestLemma:

@@ -228,6 +228,50 @@ class TestCyclotomicPoly:
         for n in (1,) + tuple(IDENTITY_INDICES):
             verify_cyclotomic(n, cyclotomic_poly(n))
 
+    def test_verify_cyclotomic_accepts_squarefree_below_5000(self):
+        # the identity is checked untruncated, so it does not share the
+        # construction's half-length series
+        for n in range(2, 5000):
+            if all(e == 1 for _, e in factorize(n)):
+                verify_cyclotomic(n, cyclotomic_poly(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(SYMPY_INDICES), where=st.floats(0, 1, exclude_max=True),
+           delta=st.sampled_from([-1, 1]))
+    def test_verify_cyclotomic_rejects_one_wrong_coefficient(self, n, where, delta):
+        coeffs = list(cyclotomic_poly(n).coeffs)
+        coeffs[int(where * len(coeffs))] += delta
+        with pytest.raises(VerificationError, match=f"Phi_{n} is not Q"):
+            verify_cyclotomic(n, IntPoly(coeffs))
+
+    @pytest.mark.parametrize("n", [5, 42, 1155, 3003])
+    def test_verify_cyclotomic_base_grows_with_the_height(self, n):
+        # Phi_n + X - 2^s agrees with Phi_n at X = 2^s, so a base that did not
+        # grow with the height of the checked polynomial would accept it
+        for s in range(8, 129, 8):
+            coeffs = list(cyclotomic_poly(n).coeffs)
+            coeffs[0] -= 2**s
+            coeffs[1] += 1
+            with pytest.raises(VerificationError):
+                verify_cyclotomic(n, IntPoly(coeffs))
+
+    # (n, the size of the truncated series): phi(2) = 1 is odd and Phi_2 is
+    # built whole; Phi_l is all ones; phi(6) = 2; at 10 and 42 the divisor
+    # d = phi(n) / 2 has mu(n/d) = -1, the last division below the size
+    @pytest.mark.parametrize("n, size", [(2, 2), (3, 2), (7, 4), (997, 499),
+                                         (6, 2), (10, 3), (42, 7)])
+    def test_half_length_construction(self, n, size):
+        with mock.patch.object(cyclotomic, "_truncated_numerator",
+                               wraps=cyclotomic._truncated_numerator) as spy:
+            poly = cyclotomic_poly.__wrapped__(n)
+        assert spy.call_args.args[1] == size
+        assert poly == _division_reference(n)
+        if n in (10, 42):
+            d = euler_phi(n) // 2
+            assert n % d == 0 and len(factorize(n // d)) % 2 == 1
+        if is_prime(n):
+            assert poly.coeffs == (1,) * n
+
     def test_large_index(self):
         # 510510 = 2*3*5*7*11*13*17; uncached, so the sparse product runs
         start = time.perf_counter()
@@ -274,7 +318,7 @@ class TestTruncatedNumerator:
 
 class TestDivisionLoops:
     def test_both_loops_match_lift_reference(self, monkeypatch):
-        # 1 / (1 - X^d) runs per residue class for d^2 < phi(n) + 1, else per block
+        # 1 / (1 - X^d) runs per residue class for d^2 < phi(n) / 2 + 1, else per block
         loops = {"class": 0, "block": 0}
         real_accumulate = cyclotomic.accumulate
 
