@@ -13,8 +13,11 @@ gcd of those exponents. Such operands are common here: Phi_n(X) =
 Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of Phi_{m p^f}
 mod p multiplies by Phi_m(X^(p^(f-1))). Products and powers work in X^g for
 the gcd g of their operands' strides, and reductions mod p, `compose_power`,
-equality, evaluation and indexing work on f; only reading `coeffs` expands
-f by k, once per polynomial.
+equality, evaluation and indexing work on f; so do root multiplicities mod
+p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p (one routine,
+`_multiplicity`, for `root_multiplicity`, the lemma and
+`order_t_multiplicity`). Only reading `coeffs` expands f by k, once per
+polynomial.
 
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
@@ -149,13 +152,11 @@ def _truncated_numerator(degrees, size):
 
 def _stride(coeffs):
     """The gcd k of the exponents of the nonzero coefficients, 0 for a constant
-    or zero: coeffs is then coeffs[::k] in X^k. Stops at the first gcd of 1."""
-    k = 0
-    for e in compress(range(len(coeffs)), coeffs):
-        k = math.gcd(k, e)
-        if k == 1:
-            break
-    return k
+    or zero: coeffs is then coeffs[::k] in X^k. One gcd call over all of them,
+    in C, unless X^1 has a nonzero coefficient."""
+    if len(coeffs) > 1 and coeffs[1]:
+        return 1
+    return math.gcd(*compress(range(len(coeffs)), coeffs))
 
 
 def _spread(short, j):
@@ -421,6 +422,42 @@ def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     return ModPoly(p)._like(_strip([c % p for c in poly._short]), poly._step)
 
 
+def _p_free(n: int, p: int) -> tuple:
+    """(m, f) with n = m * p^f and p not dividing m; (0, 0) for n = 0, not a loop."""
+    f = 0
+    while n and n % p == 0:
+        n //= p
+        f += 1
+    return n, f
+
+
+def _multiplicity(poly: _Poly, p: int, eps: int) -> int:
+    """Multiplicity of eps in [0, p) as a root of poly mod p, for poly = f(X^k)
+    over Z or Z/p, by synthetic division on f alone; DomainError if poly is
+    0 mod p. With k = m * p^j and p not dividing m, f(X^k) = f(X^m)^(p^j) over
+    Z/p (Frobenius), and eps != 0 is a simple root of X^m - eps^m, so the
+    multiplicity is p^j times that of eps^m in f; that of 0 is k times that
+    of 0 in f."""
+    k = poly.stride or 1
+    m, j = _p_free(k, p)
+    scale, eps = (p**j, pow(eps, m, p)) if eps else (k, 0)
+    mult = 0
+    coeffs = poly._short[::-1]  # descending, for Horner's rule
+    while coeffs:
+        # synthetic division by X - eps: the partial sums are the quotient,
+        # the last one is the remainder
+        quot = []
+        acc = 0
+        for c in coeffs:
+            acc = (acc * eps + c) % p
+            quot.append(acc)
+        if acc:
+            return scale * mult
+        mult += 1
+        coeffs = quot[:-1]
+    raise DomainError("root multiplicity undefined for the zero polynomial")
+
+
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     """Largest m with (X - eps)^m dividing pbar over Z/p."""
     if pbar.p is None:
@@ -430,20 +467,7 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     p, eps = pbar.p, index(eps)
     if not 0 <= eps < p:
         raise DomainError(f"residue {eps} not reduced mod {p}")
-    mult = 0
-    coeffs = pbar.coeffs[::-1]  # descending, for Horner's rule
-    while True:
-        # synthetic division by X - eps: the partial sums are the quotient,
-        # the last one is the remainder
-        quot = []
-        acc = 0
-        for c in coeffs:
-            acc = (acc * eps + c) % p
-            quot.append(acc)
-        if acc:
-            return mult
-        mult += 1
-        coeffs = quot[:-1]
+    return _multiplicity(pbar, p, eps)
 
 
 def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
@@ -453,7 +477,8 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
     Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
     of the coefficients of degree r mod t, taken once on the compressed
     coefficients (stride rule) and shared by every residue. Only an actual
-    root pays for the reduction of poly mod p and the synthetic division.
+    root pays for `_multiplicity`, on the integer coefficients of f, reduced
+    mod p as it divides.
     """
     # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
     # the other S_r are 0, and evaluation costs min(t, deg + 1) steps
@@ -464,44 +489,27 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
         sums[j * k % t] = sum(short[j::step]) % p
     sums.reverse()
     mults = {}
-    pbar = None
     for eps in residues:
         acc = 0
         for s in sums:
             acc = (acc * eps + s) % p
-        if acc:
-            mults[eps] = 0
-            continue
-        if pbar is None:
-            pbar = reduce_mod(poly, p)
-        mults[eps] = root_multiplicity(pbar, eps)
+        mults[eps] = _multiplicity(poly, p, eps) if acc == 0 else 0
     return mults
 
 
-def _p_free(n: int, p: int) -> tuple:
-    """(m, f) with n = m * p^f and p not dividing m; (0, 0) for n = 0, not a loop."""
-    f = 0
-    while n and n % p == 0:
-        n //= p
-        f += 1
-    return n, f
-
-
 def order_t_multiplicity(n: int, p: int, t: int) -> int:
-    """Common multiplicity of every order-t residue as a root of Phi_n mod p.
-
-    The p-part of n is stripped first via Phi_{m p^f} = Phi_m^{phi(p^f)} mod p;
-    the residue sweep then runs on the p-free part. Fails loudly if the
-    order-t residues disagree.
+    """Common multiplicity of every order-t residue as a root of Phi_n mod p:
+    the lemma's fact (a) cell, `residue_multiplicities` on Phi_n itself, with
+    no p-stripping (a p-power in the stride of Phi_n is `_multiplicity`'s
+    Frobenius step). Fails loudly if the order-t residues disagree.
     """
     residues = residues_of_order(p, t)  # validates p and t before any work on n
-    m, f = _p_free(n, p)  # n is validated by cyclotomic_poly
-    mults = residue_multiplicities(cyclotomic_poly(m), p, t, residues)
+    mults = residue_multiplicities(cyclotomic_poly(n), p, t, residues)
     if len(set(mults.values())) != 1:
         raise VerificationError(
             f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
         )
-    return euler_phi(p**f) * next(iter(mults.values()))
+    return next(iter(mults.values()))
 
 
 def verify_lemma_range(n_max: int, primes) -> Report:

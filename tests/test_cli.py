@@ -174,7 +174,7 @@ class TestLemma:
         assert "domain error" in err
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: 0)
+        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: 0)
         results = failed_check(capsys, "lemma", "--max-n", "1", "--primes", "3")
         assert [c["fact"] for c in results["counterexamples"]] == ["positivity"]
 
@@ -709,12 +709,14 @@ def _sigma_kinds(rng, d):
 
 
 class TestExitCodeFuzz:
-    """Generated torus-rank and oracle --file inputs: every run returns 0,
-    1, 2 or 3 within 2 s, and no exception escapes main. A chi_order that
-    divides p - 1 is at most 12 here, as the work per order-t residue grows
-    with phi(t), a known cost of its own; the one larger draw, 2^31 - 2, has
-    phi = 534,600,000 above MAX_RESIDUES, so with p = 2^31 - 1 torus-rank
-    must exit 2 before it lists any residue."""
+    """Generated torus-rank and oracle --file inputs, and lemma arguments:
+    every run returns 0, 1, 2 or 3 within 2 s, and no exception escapes
+    main. A chi_order that divides p - 1 is at most 12 here, as the work per
+    order-t residue grows with phi(t), a known cost of its own; the one
+    larger draw, 2^31 - 2, has phi = 534,600,000 above MAX_RESIDUES, so with
+    p = 2^31 - 1 torus-rank must exit 2 before it lists any residue. The
+    lemma's valid primes are at most 13 for the same reason, and 2^31 - 1,
+    whose phi(p - 1) is above the cap, must exit 2 at once."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -759,3 +761,33 @@ class TestExitCodeFuzz:
         if command == "torus-rank" and (p, chi_order) == (2**31 - 1, 2**31 - 2):
             assert code == 2
         assert elapsed < 2, f"{kind}, d = {d}: {elapsed:.2f} s"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        max_n=st.one_of(st.integers(1, 40), st.sampled_from([-1, 0, 10**6 + 1, "x"])),
+        # each prime is valid about half of the time
+        primes=st.one_of(
+            st.lists(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                               st.sampled_from([0, 1, 4, 9, 12, -3, 2**31 - 1, 2**31])),
+                     min_size=1, max_size=4).map(lambda ps: ",".join(map(str, ps))),
+            st.sampled_from(["", "a,b"])),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    @example(max_n=5, primes="2147483647", fmt="json")
+    @example(max_n=40, primes="2,3,5,7,11,13", fmt="json")
+    def test_lemma_exit_code_and_time(self, capsys, max_n, primes, fmt):
+        # "=" keeps a leading minus sign from reading as an option
+        argv = ["lemma", f"--max-n={max_n}", f"--primes={primes}", "--format", fmt]
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        valid = (isinstance(max_n, int) and 1 <= max_n <= 10**6 and primes
+                 and all(x in {"2", "3", "5", "7", "11", "13"} for x in primes.split(",")))
+        assert code == (1 if max_n == "x" else 0 if valid else 2)
+        assert "Traceback" not in err
+        assert elapsed < 2, f"lemma --max-n {max_n} --primes {primes}: {elapsed:.2f} s"

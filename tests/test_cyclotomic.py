@@ -522,6 +522,20 @@ def _shift_multiplicity(pbar: ModPoly, eps: int) -> int:
     return next(j for j, c in enumerate(shifted) if c != 0)
 
 
+def _division_multiplicity(coeffs, p: int, eps: int) -> int:
+    """Reference on the expanded coefficients of a nonzero polynomial mod p:
+    synthetic division by X - eps until the remainder is nonzero."""
+    mult, coeffs = 0, coeffs[::-1]
+    while True:
+        quot, acc = [], 0
+        for c in coeffs:
+            acc = (acc * eps + c) % p
+            quot.append(acc)
+        if acc:
+            return mult
+        mult, coeffs = mult + 1, quot[:-1]
+
+
 class TestRootMultiplicity:
     def test_simple_root(self):
         assert root_multiplicity(ModPoly(5, (1, 0, 1)), 2) == 1
@@ -576,11 +590,39 @@ class TestRootMultiplicity:
         planted = cofactor * ModPoly(p, (-eps, 1)) ** m
         assert root_multiplicity(planted, eps) == m
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        m=st.integers(1, 4),
+        j=st.integers(0, 2),
+        root=st.integers(0, 4),
+        e=st.integers(0, 3),
+        rest=st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+    )
+    # k = m * p^j coprime to p, a pure p-power and mixed; 0 as a root of f
+    @example(p=5, m=3, j=0, root=2, e=2, rest=[1, 1])
+    @example(p=3, m=1, j=2, root=1, e=3, rest=[2])
+    @example(p=2, m=3, j=2, root=1, e=2, rest=[1, 0, 1])
+    @example(p=5, m=2, j=1, root=0, e=3, rest=[1, 2])
+    def test_stored_form_matches_expanded_division(self, p, m, j, root, e, rest):
+        # f = rest * (X - root)^e, then f(X^k) mod p: every eps in [0, p),
+        # 0 included, against synthetic division on the expanded coefficients
+        k = m * p**j
+        poly = (IntPoly(rest) * IntPoly((-root, 1)) ** e).compose_power(k)
+        pbar = reduce_mod(poly, p)
+        assume(pbar)
+        expected = {eps: _division_multiplicity(pbar.coeffs, p, eps) for eps in range(p)}
+        assert {eps: root_multiplicity(pbar, eps) for eps in range(p)} == expected
+        # eps^(p - 1) = 1 for every unit, so the slice sums at t = p - 1 hold
+        units = range(1, p)
+        assert residue_multiplicities(poly, p, p - 1, units) == {
+            eps: expected[eps] for eps in units}
+
 
 def _residue_reference(poly: IntPoly, p: int, t: int) -> dict:
     """Slow reference for fact (a): synthetic division at every order-t residue."""
-    pbar = reduce_mod(poly, p)
-    return {eps: root_multiplicity(pbar, eps) for eps in residues_of_order(p, t)}
+    coeffs = reduce_mod(poly, p).coeffs
+    return {eps: _division_multiplicity(coeffs, p, eps) for eps in residues_of_order(p, t)}
 
 
 DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 13, 31, 61, 97, 101)
@@ -615,9 +657,12 @@ class TestResidueMultiplicities:
             residue_multiplicities(cyclotomic_poly(4), 6, 1, residues_of_order(6, 1))
 
     def test_zero_mod_p_rejected(self):
-        # every residue is a "root" of 0, whose multiplicity is undefined
-        with pytest.raises(DomainError):
-            residue_multiplicities(IntPoly((5, 10)), 5, 4, residues_of_order(5, 4))
+        # every residue is a "root" of 0, whose multiplicity is undefined;
+        # k = 25 puts a p-power into the stride
+        for k in (1, 3, 25):
+            poly = IntPoly((5, 10)).compose_power(k)
+            with pytest.raises(DomainError, match="zero polynomial"):
+                residue_multiplicities(poly, 5, 4, residues_of_order(5, 4))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -683,9 +728,33 @@ class TestOrderTMultiplicity:
             order_t_multiplicity(n, 5, 1)
 
     def test_disagreeing_residues_raise(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: eps)
+        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: eps)
         with pytest.raises(VerificationError, match="disagree"):
             order_t_multiplicity(4, 5, 4)
+
+    def test_runs_the_cell_on_phi_n(self, monkeypatch):
+        # 14406 = 6 * 7^4 and Phi_14406 = Phi_42(X^343): the multiplicity comes
+        # from Phi_n's stride, without building the p-free part's Phi_6
+        built = []
+        true_poly = cyclotomic.cyclotomic_poly
+
+        def spy(n):
+            built.append(n)
+            return true_poly(n)
+
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", spy)
+        assert order_t_multiplicity(14406, 7, 6) == 2058 == euler_phi(7**4)
+        assert 6 not in built
+
+    def test_lemma_grid(self):
+        # n = t * p^f: phi(p^f) at t and 0 at every other order t' | p - 1
+        for p in (2, 3, 5, 7, 13):
+            for t in divisors(p - 1):
+                for f in range(4):
+                    n = t * p**f
+                    for t2 in divisors(p - 1):
+                        expected = euler_phi(p**f) if t2 == t else 0
+                        assert order_t_multiplicity(n, p, t2) == expected, (n, p, t2)
 
     def test_p_part_stripping_matches_direct(self):
         # when p | n the stripped path must agree with direct division
@@ -788,7 +857,7 @@ class TestVerifyLemmaRange:
 
     def test_positivity_counterexample(self, monkeypatch):
         # 1 is a root of Phi_1 = X - 1, so multiplicity 0 contradicts n = t
-        monkeypatch.setattr(cyclotomic, "root_multiplicity", lambda pbar, eps: 0)
+        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: 0)
         report = verify_lemma_range(1, {3})
         assert report.counterexamples == [
             {"n": 1, "p": 3, "t": 1, "fact": "positivity", "multiplicity": 0,

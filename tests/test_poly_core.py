@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona_bounds import cyclotomic
@@ -564,6 +564,20 @@ class TestStoredStride:
         exact(gbar, strip_mod(p, stretch(g.coeffs, j)))
         exact(fbar * gbar, mod_reference(p, fbar.coeffs, gbar.coeffs))
         exact(gbar**n, strip_mod(p, reference_pow(gbar.coeffs, n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.one_of(strided.map(list), st.lists(st.integers(-2, 2), max_size=12)))
+    @example(coeffs=[])
+    @example(coeffs=[5])
+    @example(coeffs=[0, 0, 0, 7])
+    @example(coeffs=[1, 0, 0, 0, 2, 0, 3])
+    def test_stride_is_the_exponent_gcd(self, coeffs):
+        # the per-exponent loop `_stride` replaced by one gcd call
+        k = 0
+        for e, c in enumerate(coeffs):
+            if c:
+                k = math.gcd(k, e)
+        assert _stride(coeffs) == _stride(tuple(coeffs)) == k
 
     @pytest.mark.parametrize("k", [1, 4, 6])
     def test_constant_keeps_the_other_stride(self, k):
