@@ -29,8 +29,8 @@ _LAZY = {
                       "t_for_field"),
     "ff_oracle": ("FiniteFieldTorus", "group_order", "p_elementary_rank",
                   "rational_points_structure", "t_of_finite_field"),
-    "intlinalg": ("IntMatrix", "char_poly", "companion_matrix",
-                  "cyclotomic_factorization", "kernel_dim_mod_p", "smith_normal_form"),
+    "intlinalg": ("IntMatrix", "companion_matrix", "cyclotomic_factorization",
+                  "kernel_dim_mod_p", "smith_normal_form"),
     "torus_rank": ("GaloisTorusPresentation", "RankCertificate", "fixed_point_rank",
                    "multiplicity_chain_check", "sharp_construction"),
     "weyl_audit": ("audit_pgl4", "enumerate_weyl"),

@@ -19,6 +19,10 @@ p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p (one routine,
 `order_t_multiplicity`). Only reading `coeffs` expands f by k, once per
 polynomial.
 
+One long division, `_divmod`, divides by a monic polynomial over Z
+(`IntPoly.divmod_monic`) and mod p, where a root multiplicity is a valuation:
+f mod p divided by X - eps until the remainder is nonzero.
+
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
 slice assignments; the big-integer product still multiplies narrow digits.
@@ -36,7 +40,7 @@ that build many Phi_n.
 import math
 import struct
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from operator import add, index, mul
 
 from .errors import DomainError, Report, VerificationError
@@ -183,6 +187,25 @@ def _power(x, n, one, product=mul):
     return one if result is None else result
 
 
+def _divmod(a, b, p=None):
+    """(q, r) with a = q*b + r and len(r) = deg b, for ascending coefficient
+    sequences a and b with b monic: long division, exact over Z, or with
+    residues in [0, p) mod p. The one division of the polynomial layer."""
+    d = len(b) - 1
+    # from the top down, a quotient coefficient is that of a less the dot
+    # product of b's lower coefficients with the d quotient coefficients
+    # above it (map stops after d terms, before b's top one); quot holds
+    # them descending, after d zeros
+    quot = [0] * d
+    for i, c in enumerate(reversed(a[d:])):
+        c -= sum(map(mul, quot[i:], b))
+        quot.append(c if p is None else c % p)
+    quot = quot[d:][::-1]
+    rem = [c - sum(map(mul, quot, b[j::-1])) for j, c in enumerate(a[:d])]
+    rem += [0] * (d - len(rem))
+    return quot, rem if p is None else [c % p for c in rem]
+
+
 class _Poly:
     """Immutable polynomial f(X^k) over Z, where its modulus p is None, or over
     Z/p for a prime p, with coefficients reduced to [0, p). It is stored as p,
@@ -315,17 +338,7 @@ class IntPoly(_Poly):
         """Long division by a monic divisor; exact integer arithmetic."""
         if not divisor.is_monic():
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        if len(rem) - 1 < dd:
-            return IntPoly(), self
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - dd] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[i - dd + j] -= c * b
+        quot, rem = _divmod(self.coeffs, divisor.coeffs)
         return IntPoly(quot), IntPoly(rem)
 
 
@@ -433,29 +446,23 @@ def _p_free(n: int, p: int) -> tuple:
 
 def _multiplicity(poly: _Poly, p: int, eps: int) -> int:
     """Multiplicity of eps in [0, p) as a root of poly mod p, for poly = f(X^k)
-    over Z or Z/p, by synthetic division on f alone; DomainError if poly is
-    0 mod p. With k = m * p^j and p not dividing m, f(X^k) = f(X^m)^(p^j) over
-    Z/p (Frobenius), and eps != 0 is a simple root of X^m - eps^m, so the
-    multiplicity is p^j times that of eps^m in f; that of 0 is k times that
-    of 0 in f."""
+    over Z or Z/p, on f alone; DomainError if poly is 0 mod p. With k = m * p^j
+    and p not dividing m, f(X^k) = f(X^m)^(p^j) over Z/p (Frobenius), and
+    eps != 0 is a simple root of X^m - eps^m, so the multiplicity is p^j
+    times that of eps^m in f; that of 0 is k times that of 0 in f. The
+    multiplicity in f is a valuation: f mod p is divided by X - eps^m
+    (`_divmod`) until the remainder is nonzero."""
     k = poly.stride or 1
     m, j = _p_free(k, p)
     scale, eps = (p**j, pow(eps, m, p)) if eps else (k, 0)
-    mult = 0
-    coeffs = poly._short[::-1]  # descending, for Horner's rule
-    while coeffs:
-        # synthetic division by X - eps: the partial sums are the quotient,
-        # the last one is the remainder
-        quot = []
-        acc = 0
-        for c in coeffs:
-            acc = (acc * eps + c) % p
-            quot.append(acc)
-        if acc:
+    f = _strip([c % p for c in poly._short])
+    if not f:
+        raise DomainError("root multiplicity undefined for the zero polynomial")
+    # f != 0 mod p: a nonzero remainder comes by the (deg f + 1)-th division
+    for mult in count():
+        f, rem = _divmod(f, (-eps, 1), p)
+        if rem[0]:
             return scale * mult
-        mult += 1
-        coeffs = quot[:-1]
-    raise DomainError("root multiplicity undefined for the zero polynomial")
 
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:
@@ -477,8 +484,7 @@ def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
     Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
     of the coefficients of degree r mod t, taken once on the compressed
     coefficients (stride rule) and shared by every residue. Only an actual
-    root pays for `_multiplicity`, on the integer coefficients of f, reduced
-    mod p as it divides.
+    root pays for `_multiplicity`, which reduces f mod p once and divides.
     """
     # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
     # the other S_r are 0, and evaluation costs min(t, deg + 1) steps

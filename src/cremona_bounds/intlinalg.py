@@ -1,11 +1,13 @@
 """Exact integer matrix algebra.
 
-Characteristic polynomials (Hessenberg reduction modulo primes below 2^62,
-then CRT, with the number of primes fixed by a Hadamard-type coefficient
-bound; Cohen, GTM 138, Section 2.2), cyclotomic factorization of monic
-integer polynomials, finite-order detection, Smith normal form, and kernel
-dimensions mod p. Matrix products pack each row of the right operand into
-one integer (Kronecker substitution, as for polynomial products).
+Characteristic polynomials of finite-order matrices (Hessenberg reduction
+modulo primes below 2^62, the symmetric lift of the residues mod the first
+one, checked modulo the further primes whose number is fixed by a
+Hadamard-type coefficient bound; Cohen, GTM 138, Section 2.2), cyclotomic
+factorization of monic integer polynomials, finite-order detection, Smith
+normal form, and kernel dimensions mod p. Matrix products pack each row of
+the right operand into one integer (Kronecker substitution, as for
+polynomial products).
 """
 
 from itertools import chain
@@ -193,7 +195,9 @@ def _char_poly_mod(rows, p: int) -> list:
 
 def _residues(m: IntMatrix):
     """(p, residues of det(X*I - M) mod p) for the CRT primes in turn, until
-    their product exceeds twice the coefficient bound.
+    their product exceeds twice the coefficient bound: an integer polynomial
+    within the bound that agrees with every residue list is the char poly,
+    which is how `finite_order_indices` accepts its lift.
 
     Coefficient bound (Cohen, GTM 138, Section 2.2): c_{d-k} is up to sign
     the sum of the C(d,k) principal k-minors, and by Hadamard's inequality a
@@ -221,23 +225,6 @@ def _cross_check(m: IntMatrix, coeffs):
         raise VerificationError("char poly: coefficient of X^(d-1) is not -trace")
     if coeffs[0] != (-1) ** m.dimension * m.det():
         raise VerificationError("char poly: constant term is not (-1)^d det")
-
-
-def char_poly(m: IntMatrix) -> IntPoly:
-    """Exact det(X*I - M) by Hessenberg reduction mod primes below 2^62 and CRT.
-
-    The primes are those of _residues, so the symmetric residues modulo their
-    product are the coefficients. The result is cross-checked by
-    c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss).
-    """
-    coeffs, modulus = [0] * (m.dimension + 1), 1
-    for p, residues in _residues(m):
-        lift = pow(modulus, -1, p)
-        coeffs = [x + modulus * ((r - x) * lift % p) for x, r in zip(coeffs, residues)]
-        modulus *= p
-    coeffs = [x - modulus if 2 * x > modulus else x for x in coeffs]
-    _cross_check(m, coeffs)
-    return IntPoly(coeffs)
 
 
 def cyclotomic_factorization(f: IntPoly) -> tuple:

@@ -66,7 +66,8 @@ def check_order_divides(p: int, t: int) -> int:
 # The most order-t residues mod p, phi(t) of them, that are ever listed:
 # above it, residues_of_order and the lemma sweep raise DomainError before any
 # list is built. At the cap (p = 2,535,101, t = p - 1), torus-rank with d = 1
-# takes 6.6 s and 278 MiB peak RSS on a 2-vCPU machine and prints 21.6 MB.
+# takes 4.6 s and 278 MiB peak RSS on a 2-vCPU VM (CPython 3.11.7, one child
+# process with interpreter start-up) and prints 21.6 MB.
 MAX_RESIDUES = 1_000_000
 
 

@@ -6,10 +6,11 @@ e3 is -(e0+e1+e2). Coordinate permutations descend to 3x3 integer matrices.
 """
 
 from itertools import permutations
+from math import prod
 
-from .cyclotomic import IntPoly, reduce_mod, root_multiplicity
+from .cyclotomic import IntPoly, cyclotomic_poly, reduce_mod, root_multiplicity
 from .errors import DomainError, Record, Report
-from .intlinalg import IntMatrix, char_poly, cyclotomic_factorization
+from .intlinalg import IntMatrix, finite_order_indices
 from .numth import check_prime
 
 ALLOWED_INDICES = {1, 2, 3, 4}
@@ -44,8 +45,10 @@ def audit_pgl4(p: int = 3) -> Report:
     """Verify, over all 24 elements: factorization indices lie in {1,2,3,4},
     no element acts as -I, no characteristic polynomial equals (X+1)^3, and
     the multiplicity of -1 mod p as a root of the reduced characteristic
-    polynomial never exceeds 2. The prime p must be odd: mod 2, -1 is the
-    root 1, of multiplicity 3 for the identity."""
+    polynomial never exceeds 2. The char poly is the product of Phi_d over
+    the indices of `finite_order_indices`, the one checked route. The prime
+    p must be odd: mod 2, -1 is the root 1, of multiplicity 3 for the
+    identity."""
     check_prime(p)
     if p == 2:
         raise DomainError("the audit needs an odd prime: -1 and 1 coincide mod 2")
@@ -55,8 +58,8 @@ def audit_pgl4(p: int = 3) -> Report:
     x_plus_1_cubed = IntPoly((1, 1)) ** 3
     minus_one = p - 1
     for elem in enumerate_weyl():
-        f = char_poly(elem.matrix)
-        indices = cyclotomic_factorization(f)
+        indices = finite_order_indices(elem.matrix)
+        f = prod(map(cyclotomic_poly, indices), start=IntPoly((1,)))
         mult = root_multiplicity(reduce_mod(f, p), minus_one)
         row = {
             "permutation": list(elem.permutation),

@@ -708,15 +708,33 @@ def _sigma_kinds(rng, d):
     }
 
 
+PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
+
+
+def _run_main(argv):
+    """(exit code, seconds) of one in-process CLI run; argparse usage errors
+    leave main by SystemExit."""
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, time.perf_counter() - start
+
+
 class TestExitCodeFuzz:
-    """Generated torus-rank and oracle --file inputs, and lemma arguments:
-    every run returns 0, 1, 2 or 3 within 2 s, and no exception escapes
-    main. A chi_order that divides p - 1 is at most 12 here, as the work per
+    """Generated torus-rank and oracle --file inputs, and lemma, cyclotomic,
+    bound, sharpness and weyl-audit arguments: every run returns 0, 1, 2 or 3
+    within 2 s, and no exception escapes main. Outside torus-rank and oracle
+    the code is the one the inputs imply: 1 for an argument that is not an
+    integer, 0 for a valid input and 2 otherwise, with no traceback. A
+    chi_order that divides p - 1 is at most 12 here, as the work per
     order-t residue grows with phi(t), a known cost of its own; the one
     larger draw, 2^31 - 2, has phi = 534,600,000 above MAX_RESIDUES, so with
     p = 2^31 - 1 torus-rank must exit 2 before it lists any residue. The
     lemma's valid primes are at most 13 for the same reason, and 2^31 - 1,
-    whose phi(p - 1) is above the cap, must exit 2 at once."""
+    whose phi(p - 1) is above the cap, must exit 2 at once. Arguments are
+    passed with "=", so that a minus sign reaches the parser."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -777,17 +795,88 @@ class TestExitCodeFuzz:
     @example(max_n=5, primes="2147483647", fmt="json")
     @example(max_n=40, primes="2,3,5,7,11,13", fmt="json")
     def test_lemma_exit_code_and_time(self, capsys, max_n, primes, fmt):
-        # "=" keeps a leading minus sign from reading as an option
         argv = ["lemma", f"--max-n={max_n}", f"--primes={primes}", "--format", fmt]
-        start = time.perf_counter()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-        elapsed = time.perf_counter() - start
+        code, elapsed = _run_main(argv)
         err = capsys.readouterr().err
         valid = (isinstance(max_n, int) and 1 <= max_n <= 10**6 and primes
                  and all(x in {"2", "3", "5", "7", "11", "13"} for x in primes.split(",")))
         assert code == (1 if max_n == "x" else 0 if valid else 2)
         assert "Traceback" not in err
         assert elapsed < 2, f"lemma --max-n {max_n} --primes {primes}: {elapsed:.2f} s"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.one_of(st.integers(1, 3003), st.sampled_from([-1, 0, 10**6 + 1, "x"])),
+        p=st.one_of(st.none(), st.sampled_from(PRIMES_TO_13 + [2**31 - 1]),
+                    st.sampled_from([1, 4, 9, 12, 2**31 - 3, 0, -7, 2**31])),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    @example(n=3003, p=2**31 - 1, fmt="json")
+    @example(n="x", p=-7, fmt="text")
+    def test_cyclotomic_exit_code_and_time(self, capsys, n, p, fmt):
+        argv = ["cyclotomic", f"--n={n}", "--format", fmt]
+        if p is not None:
+            argv.append(f"--p={p}")
+        code, elapsed = _run_main(argv)
+        err = capsys.readouterr().err
+        valid = (isinstance(n, int) and 1 <= n <= 10**6
+                 and p in [None, *PRIMES_TO_13, 2**31 - 1])
+        assert code == (1 if n == "x" else 0 if valid else 2)
+        assert "Traceback" not in err
+        assert elapsed < 2, f"cyclotomic --n {n} --p {p}: {elapsed:.2f} s"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        p=st.sampled_from(PRIMES_TO_13 + [2**31 - 1, 1, 4, 9, 12, 2**31]),
+        kind=st.sampled_from(["divisor", "non-divisor", "zero", "negative"]),
+        data=st.data(),
+    )
+    def test_bound_exit_code_and_time(self, capsys, p, kind, data):
+        if kind == "divisor":
+            t = data.draw(st.sampled_from(divisors(p - 1) if p > 1 else [1]))
+        elif kind == "non-divisor":
+            t = data.draw(st.integers(2, 64).filter(lambda t: (p - 1) % t))
+        else:
+            t = 0 if kind == "zero" else data.draw(st.integers(-64, -1))
+        code, elapsed = _run_main(["bound", f"--p={p}", f"--t={t}", "--format", "json"])
+        err = capsys.readouterr().err
+        valid = p in [*PRIMES_TO_13, 2**31 - 1] and t >= 1 and (p - 1) % t == 0
+        assert code == (0 if valid else 2)
+        assert "Traceback" not in err
+        assert elapsed < 2, f"bound --p {p} --t {t}: {elapsed:.2f} s"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        d=st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 65])),
+        t=st.one_of(st.none(), st.integers(1, 240), st.sampled_from([0, 2**61 - 1])),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    @example(d=64, t=1, fmt="json")
+    @example(d=64, t=2**61 - 1, fmt="json")
+    def test_sharpness_exit_code_and_time(self, capsys, d, t, fmt):
+        argv = ["sharpness", f"--d={d}", "--format", fmt]
+        if t is not None:
+            argv.append(f"--t={t}")
+        code, elapsed = _run_main(argv)
+        err = capsys.readouterr().err
+        # a witness exists when 1 <= d <= 64 and phi(t) <= d (so t <= 2 d^2)
+        valid = (1 <= d <= 64 and t is not None and 1 <= t <= 2 * d * d
+                 and euler_phi(t) <= d)
+        assert code == (0 if valid else 2)
+        assert "Traceback" not in err
+        assert elapsed < 2, f"sharpness --d {d} --t {t}: {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("p, expected", [
+        (-1, 2), (0, 2), (1, 2), (2, 2), (3, 0), (4, 2), (13, 0),
+        (2**31 - 1, 0), (2**31, 2), ("x", 1),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_weyl_audit_exit_code_and_time(self, capsys, p, expected, fmt):
+        code, elapsed = _run_main(["weyl-audit", f"--p={p}", "--format", fmt])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert "Traceback" not in err
+        assert elapsed < 2, f"weyl-audit --p {p}: {elapsed:.2f} s"

@@ -619,6 +619,73 @@ class TestRootMultiplicity:
             eps: expected[eps] for eps in units}
 
 
+def _schoolbook(a, b):
+    """Product of two coefficient lists, one term at a time."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestDivmod:
+    """The contract of `_divmod`, the one long division over Z and mod p, and
+    a valuation by it against planted multiplicities in stride form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        p=st.sampled_from([None, 2, 3, 13, 2**31 - 1]),
+        a=st.lists(st.integers(-(2**70), 2**70), max_size=14),
+        low=st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    )
+    @example(p=None, a=[], low=[])
+    @example(p=2, a=[1, 1], low=[1, 0, 1])
+    @example(p=13, a=[0, 0, 0, 5], low=[-1])
+    def test_quotient_times_divisor_plus_remainder(self, p, a, low):
+        b = low + [1]
+        quot, rem = cyclotomic._divmod(a, b, p)
+        assert len(rem) == len(low)
+        assert len(quot) == max(len(a) - len(low), 0)
+        # q*b + r, as a list as long as a or r, whichever is longer
+        total = _schoolbook(quot, b) or [0] * len(low)
+        total = [x + y for x, y in zip(total, rem + [0] * len(total))]
+        want = a + [0] * (len(low) - len(a))
+        if p is None:
+            assert total == want
+        else:
+            assert all(0 <= c < p for c in quot + rem)
+            assert len(total) == len(want)
+            assert all((x - y) % p == 0 for x, y in zip(total, want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 13]),
+        m=st.integers(1, 6),
+        j=st.integers(0, 2),
+        eps=st.integers(0, 12),
+        mult=st.integers(0, 5),
+        g=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    )
+    @example(p=3, m=2, j=1, eps=0, mult=2, g=[1, 1])
+    @example(p=2, m=1, j=2, eps=1, mult=3, g=[1])
+    @example(p=13, m=4, j=0, eps=5, mult=1, g=[2, 0, 1])
+    def test_planted_stride_form(self, p, m, j, eps, mult, g):
+        # f = (X - eps^m)^mult * g with g(eps^m) != 0 mod p, stored as f(X^k)
+        # for k = m * p^j, p not dividing m: the multiplicity of eps is p^j * mult, that of 0
+        # is k * mult
+        assume(m % p)
+        eps %= p
+        k = m * p**j
+        root = pow(eps, m, p) if eps else 0
+        assume(IntPoly(g)(root) % p)
+        f = ModPoly(p, g) * ModPoly(p, (-root, 1)) ** mult
+        poly = f.compose_power(k)
+        assert poly.stride % k == 0
+        planted = (k if eps == 0 else p**j) * mult
+        assert root_multiplicity(poly, eps) == planted
+        assert _division_multiplicity(poly.coeffs, p, eps) == planted
+
+
 def _residue_reference(poly: IntPoly, p: int, t: int) -> dict:
     """Slow reference for fact (a): synthetic division at every order-t residue."""
     coeffs = reduce_mod(poly, p).coeffs

@@ -22,7 +22,6 @@ from cremona_bounds.ff_oracle import FiniteFieldTorus, rational_points_structure
 from cremona_bounds.intlinalg import (
     MAX_DIMENSION,
     IntMatrix,
-    char_poly,
     companion_matrix,
     cyclotomic_factorization,
     finite_order_indices,
@@ -83,6 +82,23 @@ def interpolation_reference(m: IntMatrix) -> IntPoly:
 def sympy_char_poly(m: IntMatrix) -> IntPoly:
     coeffs = sympy.Matrix(m.rows).charpoly().all_coeffs()
     return IntPoly(int(c) for c in reversed(coeffs))
+
+
+def checked_char_poly(m: IntMatrix) -> IntPoly:
+    """The char poly of a finite-order M by the library's one route: the
+    product of Phi_d over the checked indices of `finite_order_indices`."""
+    return prod(map(cyclotomic_poly, finite_order_indices(m)), start=IntPoly([1]))
+
+
+def assert_residues_of(m: IntMatrix, ref: IntPoly):
+    """Each residue list of `_residues(m)` is ref mod its prime, and the primes
+    multiply past twice ref's largest coefficient: the bound on which the
+    finite-order check accepts a lift that agrees with every list."""
+    modulus = 1
+    for p, residues in intlinalg._residues(m):
+        assert residues == [c % p for c in ref.coeffs], p
+        modulus *= p
+    assert modulus > 2 * max(map(abs, ref.coeffs))
 
 
 def schoolbook_mul(a, b):
@@ -190,53 +206,57 @@ class TestPackedProducts:
 
 
 class TestCharPoly:
+    """Finite-order char polys come from `finite_order_indices` alone; any
+    other matrix is checked through its residues mod the CRT primes."""
+
     def test_identity(self):
-        assert char_poly(IntMatrix.identity(3)) == IntPoly((-1, 3, -3, 1))
+        assert checked_char_poly(IntMatrix.identity(3)) == IntPoly((-1, 3, -3, 1))
 
     def test_rotation(self):
-        assert char_poly(IntMatrix([[0, -1], [1, 0]])) == IntPoly((1, 0, 1))
+        assert checked_char_poly(IntMatrix([[0, -1], [1, 0]])) == IntPoly((1, 0, 1))
 
     def test_hand_cofactor(self):
-        assert char_poly(IntMatrix([[2, 1], [1, 1]])) == IntPoly((1, -3, 1))
+        assert_residues_of(IntMatrix([[2, 1], [1, 1]]), IntPoly((1, -3, 1)))
 
     def test_companion(self):
         for n in (3, 4, 8, 12):
             phi = cyclotomic_poly(n)
-            assert char_poly(companion_matrix(phi)) == phi
+            assert checked_char_poly(companion_matrix(phi)) == phi
 
     def test_value_at_zero_is_signed_det(self):
         rng = random.Random(11)
+        p = next(intlinalg._crt_primes())
         for _ in range(500):
             d = rng.randint(1, 5)
             m = IntMatrix(
                 [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
             )
-            assert char_poly(m)(0) == (-1) ** d * fraction_det(m)
+            assert intlinalg._char_poly_mod(m.rows, p)[0] == (-1) ** d * fraction_det(m) % p
 
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
-            char_poly(IntMatrix.identity(65))
+            finite_order_indices(IntMatrix.identity(65))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32), d=st.integers(1, 64))
     @example(seed=0, d=64)
     def test_finite_order_vs_sympy(self, seed, d):
         m = random_finite_order_matrix(random.Random(seed), d)
-        assert char_poly(m) == sympy_char_poly(m)
+        assert checked_char_poly(m) == sympy_char_poly(m)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32), d=st.integers(1, 64))
     @example(seed=1, d=64)
     def test_finite_order_vs_reference(self, seed, d):
         m = random_finite_order_matrix(random.Random(seed), d)
-        assert char_poly(m) == interpolation_reference(m)
+        assert checked_char_poly(m) == interpolation_reference(m)
 
     @settings(max_examples=40, deadline=None)
     @given(m=int_matrices(max_dim=16, entries=st.integers(-(10**6), 10**6)))
     def test_infinite_order_vs_reference_and_sympy(self, m):
-        f = char_poly(m)
-        assert f == interpolation_reference(m)
+        f = interpolation_reference(m)
         assert f == sympy_char_poly(m)
+        assert_residues_of(m, f)
 
     def test_large_entries_need_several_primes(self, monkeypatch):
         rng = random.Random(31)
@@ -247,7 +267,7 @@ class TestCharPoly:
         original = intlinalg._char_poly_mod
         monkeypatch.setattr(intlinalg, "_char_poly_mod",
                             lambda rows, p: used.append(p) or original(rows, p))
-        assert char_poly(m) == sympy_char_poly(m)
+        assert_residues_of(m, sympy_char_poly(m))
         assert len(used) > 3 and used == sorted(used, reverse=True)
         assert all(p < 2**62 for p in used)
 
@@ -261,25 +281,29 @@ class TestCharPoly:
         # about 2^70, beyond a bound taken from rounded-down norms
         block = IntMatrix([[1, 1], [-1, 1]])
         m = IntMatrix.block_diagonal([block] * 32)
-        assert char_poly(m) == IntPoly((2, -2, 1)) ** 32
+        assert_residues_of(m, IntPoly((2, -2, 1)) ** 32)
 
     @settings(max_examples=100, deadline=None)
     @given(a=big_entries)
     def test_dimension_one(self, a):
         m = IntMatrix([[a]])
-        assert char_poly(m) == IntPoly((-a, 1))
-        assert char_poly(m) == interpolation_reference(m) == sympy_char_poly(m)
+        f = IntPoly((-a, 1))
+        assert f == interpolation_reference(m) == sympy_char_poly(m)
+        assert_residues_of(m, f)
+        if abs(a) == 1:
+            assert checked_char_poly(m) == f
 
     def test_trace_cross_check(self, monkeypatch):
-        # a wrong residue list: X^2 + X + 1 mod p for the rotation (X^2 + 1)
-        monkeypatch.setattr(intlinalg, "_char_poly_mod", lambda rows, p: [1, 1, 1])
+        # the residues of (X - 1)^2 for the swap (X^2 - 1): the lift is Phi_1^2
+        # and (sigma - I) v = 0 for v = (1, 1), so only the trace rejects it
+        monkeypatch.setattr(intlinalg, "_char_poly_mod", lambda rows, p: [1, p - 2, 1])
         with pytest.raises(VerificationError, match="-trace"):
-            char_poly(IntMatrix([[0, -1], [1, 0]]))
+            finite_order_indices(IntMatrix([[0, 1], [1, 0]]))
 
     def test_det_cross_check(self, monkeypatch):
         monkeypatch.setattr(IntMatrix, "det", lambda self: 7)
         with pytest.raises(VerificationError, match="constant term"):
-            char_poly(IntMatrix([[0, -1], [1, 0]]))
+            finite_order_indices(IntMatrix([[0, -1], [1, 0]]))
 
 
 class TestCyclotomicFactorization:
@@ -325,7 +349,7 @@ class TestCyclotomicFactorization:
         rng = random.Random(5)
         for _ in range(100):
             m = random_finite_order_matrix(rng, rng.randint(1, 6))
-            indices = cyclotomic_factorization(char_poly(m))
+            indices = cyclotomic_factorization(sympy_char_poly(m))
             assert sum(euler_phi(i) for i in indices) == m.dimension
 
 
@@ -362,35 +386,44 @@ class TestMatrixOrder:
             matrix_order(IntMatrix([[0, 1], [1, 1]]))
 
     def test_huge_trace_rejected_before_char_poly(self, monkeypatch):
-        # at d = 64 with entries up to 10^30, char_poly needs hundreds of CRT
+        # at d = 64 with entries up to 10^30, the CRT bound needs hundreds of
         # primes, which took 14-18 s; the char poly mod P rejects both
-        # matrices, the second one with |tr M| = 0 <= d
+        # matrices, the second one with |tr M| = 0 <= d, after one
+        # Hessenberg pass each
         rng = random.Random(64)
         rows = [[rng.randint(-10**30, 10**30) for _ in range(64)] for _ in range(64)]
         diagonal_zero = [[0 if i == j else x for j, x in enumerate(row)]
                          for i, row in enumerate(rows)]
-        monkeypatch.setattr(intlinalg, "char_poly", None)  # must not be reached
+        used = []
+        original = intlinalg._char_poly_mod
+        monkeypatch.setattr(intlinalg, "_char_poly_mod",
+                            lambda rows, p: used.append(p) or original(rows, p))
         for m in (IntMatrix(rows), IntMatrix(diagonal_zero)):
             start = time.perf_counter()
             with pytest.raises(NotFiniteOrder, match="mod P is not a product of cyclotomics"):
                 finite_order_indices(m)
             assert time.perf_counter() - start < 1
+        assert used == [2**62 - 57] * 2
 
     def test_not_semisimple_rejected_before_char_poly(self, monkeypatch):
         # 32 Jordan blocks at 1 with corners up to 10^40, densely conjugated:
         # the char poly is (X - 1)^64, and (M - I) v != 0 mod P rejects M
-        # before char_poly runs its CRT over 8,000-bit bounds
+        # after one Hessenberg pass, before a CRT over 8,000-bit bounds
         rng = random.Random(5)
         m = IntMatrix.block_diagonal(IntMatrix([[1, rng.randint(1, 10**40)], [0, 1]])
                                      for _ in range(32))
         for _ in range(3):
             u, u_inv = random_unimodular(rng, 64)
             m = u @ m @ u_inv
-        monkeypatch.setattr(intlinalg, "char_poly", None)  # must not be reached
+        used = []
+        original = intlinalg._char_poly_mod
+        monkeypatch.setattr(intlinalg, "_char_poly_mod",
+                            lambda rows, p: used.append(p) or original(rows, p))
         start = time.perf_counter()
         with pytest.raises(NotFiniteOrder, match="not semisimple"):
             finite_order_indices(m)
         assert time.perf_counter() - start < 1
+        assert used == [2**62 - 57]
 
     def test_lift_alone_never_powers(self, monkeypatch):
         # C has order 6,126,120; adding P to an entry of its Phi_17 block keeps
@@ -444,7 +477,7 @@ class TestMatrixOrder:
             n = matrix_order(m)
             one = IntMatrix.identity(m.dimension)
             assert m**n == one
-            indices = cyclotomic_factorization(char_poly(m))
+            indices = cyclotomic_factorization(sympy_char_poly(m))
             assert lcm(*indices) % n == 0
             for k in range(1, n):
                 assert m**k != one

@@ -1,11 +1,13 @@
 from itertools import permutations
+from math import prod
 
 import pytest
+import sympy
 
 from cremona_bounds import weyl_audit
-from cremona_bounds.cyclotomic import IntPoly
+from cremona_bounds.cyclotomic import IntPoly, cyclotomic_poly
 from cremona_bounds.errors import DomainError
-from cremona_bounds.intlinalg import IntMatrix, char_poly, cyclotomic_factorization
+from cremona_bounds.intlinalg import IntMatrix, finite_order_indices
 from cremona_bounds.weyl_audit import audit_pgl4, enumerate_weyl
 
 # invariant degrees of the rank-3 symmetric-group reflection representation
@@ -14,6 +16,11 @@ INVARIANT_DEGREES = (2, 3, 4)
 
 def by_perm():
     return {e.permutation: e for e in enumerate_weyl()}
+
+
+def char_poly(m: IntMatrix) -> IntPoly:
+    """The audit's char poly: the product of Phi_d over the checked indices."""
+    return prod(map(cyclotomic_poly, finite_order_indices(m)), start=IntPoly((1,)))
 
 
 class TestEnumerateWeyl:
@@ -58,7 +65,7 @@ class TestEnumerateWeyl:
 
     def test_indices_divide_invariant_degrees(self):
         for e in enumerate_weyl():
-            for d_i in cyclotomic_factorization(char_poly(e.matrix)):
+            for d_i in finite_order_indices(e.matrix):
                 assert d_i == 1 or any(
                     deg % d_i == 0 for deg in INVARIANT_DEGREES
                 ), e.permutation
@@ -95,6 +102,11 @@ class TestAuditPGL4:
     def test_no_cubed_linear_char_poly(self):
         bad = IntPoly((1, 1)) ** 3
         assert all(char_poly(e.matrix) != bad for e in enumerate_weyl())
+
+    def test_char_poly_strings_match_sympy(self):
+        for row, e in zip(audit_pgl4().elements, enumerate_weyl()):
+            coeffs = sympy.Matrix(e.matrix.rows).charpoly().all_coeffs()
+            assert row["char_poly"] == str(IntPoly(int(c) for c in reversed(coeffs)))
 
     def test_report_key_order(self):
         assert list(audit_pgl4().to_dict()) == [
