@@ -16,8 +16,8 @@ the gcd g of their operands' strides, and reductions mod p, `compose_power`,
 equality, evaluation and indexing work on f; so do root multiplicities mod
 p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p (one routine,
 `_multiplicity`, for `root_multiplicity`, the lemma and
-`order_t_multiplicity`). Only reading `coeffs` expands f by k, once per
-polynomial.
+`order_t_multiplicity`). Only reading `coeffs` expands f by k, at each
+read.
 
 One long division, `_divmod`, divides by a monic polynomial over Z
 (`IntPoly.divmod_monic`) and mod p, where a root multiplicity is a valuation:
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, count
 from operator import add, index, mul
 
-from .errors import DomainError, Report, VerificationError
+from .errors import DomainError, Record, Report, VerificationError
 from .numth import (
     check_prime,
     check_residue_count,
@@ -206,34 +206,20 @@ def _divmod(a, b, p=None):
     return quot, rem if p is None else [c % p for c in rem]
 
 
-class _Poly:
+class _Poly(Record):
     """Immutable polynomial f(X^k) over Z, where its modulus p is None, or over
-    Z/p for a prime p, with coefficients reduced to [0, p). It is stored as p,
-    its stride k, the gcd of the exponents of its nonzero terms (0 for a
-    constant or zero), and the tuple of f, ascending by power without trailing
-    zeros; zero is () of degree -1. The full coefficient tuple `coeffs` is
-    built at its first read."""
+    Z/p for a prime p, with coefficients reduced to [0, p). Its fields are p,
+    the tuple `_short` of f, ascending by power without trailing zeros (zero
+    is () of degree -1), and its stride `_step` k, the gcd of the exponents of
+    its nonzero terms (0 for a constant or zero). The full coefficient tuple
+    `coeffs` is built at each read."""
 
-    __slots__ = ("p", "_short", "_step", "_coeffs")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self):
-        return self.p, self._step, self._short
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = ()
 
     @property
     def coeffs(self) -> tuple:
-        """All coefficients, ascending by power: f spread by k, once."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(_spread(self._short, self._step)))
-        return self._coeffs
+        """All coefficients, ascending by power: f spread by k."""
+        return tuple(_spread(self._short, self._step))
 
     @property
     def degree(self) -> int:
@@ -258,7 +244,6 @@ class _Poly:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_short", short[::j] if j > 1 else short)
         object.__setattr__(self, "_step", k * j)
-        object.__setattr__(self, "_coeffs", None)
         return self
 
     def _like(self, short, k):
@@ -315,11 +300,14 @@ class _Poly:
         modulus = "" if self.p is None else f"{self.p}, "
         return f"{type(self).__name__}({modulus}{list(self.coeffs)})"
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,) if self.p is None else (self.p, self.coeffs)
+
 
 class IntPoly(_Poly):
     """Polynomial with exact integer coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("p", "_short", "_step")
 
     def __init__(self, coeffs=()):
         self._init(None, _strip(map(index, coeffs)), 1)
@@ -345,7 +333,7 @@ class IntPoly(_Poly):
 class ModPoly(_Poly):
     """Polynomial over Z/p, coefficients reduced to [0, p)."""
 
-    __slots__ = ()
+    __slots__ = ("p", "_short", "_step")
 
     def __init__(self, p: int, coeffs=()):
         check_prime(p)

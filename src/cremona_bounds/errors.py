@@ -33,10 +33,13 @@ class Report(SimpleNamespace):
 
 
 class Record:
-    """Immutable record whose fields are the subclass's __slots__: built
-    from them by position or name, compared, hashed, shown and turned into a
-    dict in field order. A subclass that validates defines its own __init__
-    and ends it with super().__init__."""
+    """Immutable record whose fields are the concrete class's __slots__:
+    built from them by position or name, compared, hashed, shown, copied,
+    pickled and turned into a dict in field order. A subclass that validates
+    defines its own __init__ and ends it with super().__init__; one on a hot
+    path may set its fields with object.__setattr__ instead. A cache that is
+    not a field is a slot of a base class, so equality, hash, repr, to_dict
+    and copies ignore it."""
 
     __slots__ = ()
 

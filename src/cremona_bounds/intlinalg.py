@@ -15,18 +15,23 @@ from math import gcd, isqrt, lcm, prod
 from operator import index, matmul, mul
 
 from .cyclotomic import IntPoly, _pack, _power, _unpack, cyclotomic_poly
-from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, VerificationError
+from .errors import DomainError, NotCyclotomicProduct, NotFiniteOrder, Record, VerificationError
 from .numth import check_prime, euler_phi, is_prime
 
 MAX_DIMENSION = 64
 
 
-class IntMatrix:
+class _Checked(Record):
+    # _indices: cyclotomic indices of the char poly, set by finite_order_indices;
+    # a slot of the base, so not a field of the matrix
+    __slots__ = ("_indices",)
+
+
+class IntMatrix(_Checked):
     """Immutable square matrix with arbitrary-precision integer entries and
     dimension at most MAX_DIMENSION."""
 
-    # _indices: cyclotomic indices of the char poly, set by finite_order_indices
-    __slots__ = ("rows", "dimension", "_indices")
+    __slots__ = ("rows", "dimension")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(index, row)) for row in rows)
@@ -35,11 +40,7 @@ class IntMatrix:
             raise DomainError("matrix must be square with dimension >= 1")
         if d > MAX_DIMENSION:
             raise DomainError(f"dimension {d} exceeds cap {MAX_DIMENSION}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "dimension", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        super().__init__(rows, d)
 
     @classmethod
     def identity(cls, d: int) -> "IntMatrix":
@@ -57,12 +58,6 @@ class IntMatrix:
                     rows[off + i][off + j] = b.rows[i][j]
             off += b.dimension
         return cls(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def shift(self, c: int, e: int) -> "IntMatrix":
         """c*M - e*I, built as one matrix."""
@@ -112,6 +107,9 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows,)
 
 
 def _max_abs(rows) -> int:

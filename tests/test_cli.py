@@ -551,11 +551,13 @@ class TestOutputErrors:
     """stdout that cannot be written ends the run without a traceback."""
 
     @pytest.mark.parametrize("argv,prelude,read,expected", [
-        # 272 kB of JSON: the child blocks on a full pipe until the reader leaves
+        # 272 kB and 3.7 MB of JSON: the child blocks on a full pipe until the
+        # reader leaves
         (["cyclotomic", "--n", "120120", "--format", "json"], "", 100, 0),
         (["weyl-audit"], "from cremona_bounds import weyl_audit\n"
          "weyl_audit.ALLOWED_INDICES = {1, 2, 3}", 0, 3),
-    ], ids=["pass-after-100-bytes", "fail-before-any-byte"])
+        (["cyclotomic", "--n", "746130", "--format", "json"], "", 100, 0),
+    ], ids=["pass-after-100-bytes", "fail-before-any-byte", "cyclotomic-746130"])
     def test_closed_pipe_ends_quietly(self, argv, prelude, read, expected):
         child = cli_child(*argv, prelude=prelude, stdout=subprocess.PIPE)
         assert len(child.stdout.read(read)) == read
@@ -565,9 +567,13 @@ class TestOutputErrors:
         assert err == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_device_exits_2(self):
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--p", "3", "--t", "1"],
+        ["cyclotomic", "--n", "746130", "--format", "json"],
+    ], ids=["bound", "cyclotomic-746130"])
+    def test_full_device_exits_2(self, argv):
         with open("/dev/full", "wb") as full:
-            child = cli_child("bound", "--p", "3", "--t", "1", stdout=full)
+            child = cli_child(*argv, stdout=full)
             _, err = child.communicate(timeout=60)
         assert child.returncode == 2
         assert err.decode().splitlines() == [
@@ -628,6 +634,14 @@ class TestInputSchema:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("chi_order", [0, -4])
+    def test_character_order_below_1_exits_2(self, capsys, tmp_path, chi_order):
+        path = write_json(tmp_path, "torus.json",
+                          {"dimension": 1, "sigma": [[1]], "chi_order": chi_order})
+        code, out, err = run(capsys, "torus-rank", "--file", path, "--p", "3")
+        assert (code, out) == (2, "")
+        assert err == "domain error: character order must be >= 1\n"
 
 
 class TestJsonRoundTrip:

@@ -60,6 +60,10 @@ class TestIntPoly:
         assert q == IntPoly((1, 0, 0, 1))
         assert not r
 
+    def test_division_by_non_monic_rejected(self):
+        with pytest.raises(ValueError, match="^divisor must be monic$"):
+            IntPoly((1, 0, 1)).divmod_monic(IntPoly((1, 2)))
+
     def test_exact_division_failure(self):
         # X^2 + 1 = (X + 1)(X - 1) + 2
         q, r = IntPoly((1, 0, 1)).divmod_monic(IntPoly((-1, 1)))
@@ -378,6 +382,13 @@ class TestIsPrime:
         assert is_prime(n) == sympy.isprime(n)
 
 
+class TestFactorize:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_rejected(self, n):
+        with pytest.raises(DomainError, match=f"^cannot factor nonpositive integer {n}$"):
+            factorize(n)
+
+
 class TestMultiplicativeOrder:
     @pytest.mark.parametrize("a,p,expected", [(1, 7, 1), (2, 7, 3), (3, 7, 6)])
     def test_examples(self, a, p, expected):
@@ -550,6 +561,11 @@ class TestRootMultiplicity:
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             root_multiplicity(ModPoly(3, ()), 0)
+
+    @pytest.mark.parametrize("eps", [5, -1])
+    def test_unreduced_residue_rejected(self, eps):
+        with pytest.raises(DomainError, match=f"^residue {eps} not reduced mod 5$"):
+            root_multiplicity(ModPoly(5, (1, 0, 1)), eps)
 
     @pytest.mark.parametrize("bad", [float, Fraction, str])
     def test_non_integer_residue_rejected(self, bad):

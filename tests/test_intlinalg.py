@@ -172,6 +172,16 @@ class TestIntMatrix:
         b = IntMatrix.block_diagonal([IntMatrix([[2]]), IntMatrix.identity(2)])
         assert b == IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_product_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="^dimension mismatch$"):
+            IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+    @pytest.mark.parametrize("poly", [IntPoly([1, 2]), IntPoly([1])], ids=["non-monic", "constant"])
+    def test_companion_needs_monic_nonconstant(self, poly):
+        message = "^companion matrix needs a monic polynomial of degree >= 1$"
+        with pytest.raises(DomainError, match=message):
+            companion_matrix(poly)
+
 
 class TestPackedProducts:
     @settings(max_examples=100, deadline=None)

@@ -1,9 +1,10 @@
-"""The package surface: lazy re-exports, the immutable records, and which
-modules each subcommand loads in a fresh interpreter."""
+"""The package surface: lazy re-exports, the immutable records and value
+types, and which modules each subcommand loads in a fresh interpreter."""
 
 import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,14 @@ from cremona_bounds import (
     FiniteFieldTorus,
     GaloisTorusPresentation,
     IntMatrix,
+    IntPoly,
+    ModPoly,
     RankCertificate,
     Rationals,
+    cyclotomic_poly,
+    reduce_mod,
 )
+from cremona_bounds.intlinalg import finite_order_indices
 from cremona_bounds.weyl_audit import WeylElement
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -77,6 +83,8 @@ def test_record(cls, values, other):
     assert repr(record) == f"{cls.__name__}({shown})"
     assert list(record.to_dict().items()) == list(zip(fields, values))
     assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(record, name, 0)
@@ -90,6 +98,45 @@ def test_record(cls, values, other):
             cls(*values[:-1])
         with pytest.raises(TypeError):
             cls(*values, **{fields[0]: values[0]})
+
+
+# (value, an equal value built another way): Phi_16807 = Phi_7(X^2401) mod 3
+# is kept in its stride form
+VALUES = [
+    (IntPoly([1, -2, 3]), IntPoly((1, -2, 3, 0, 0))),
+    (IntPoly(), IntPoly([0])),
+    (ModPoly(5, [1, 2]), ModPoly(5, [6, -3])),
+    (reduce_mod(cyclotomic_poly(16807), 3), ModPoly(3, cyclotomic_poly(16807).coeffs)),
+    (IntMatrix([[0, 1], [-1, 0]]), IntMatrix([[0, 1], [-1, 0]]) ** 5),
+]
+
+
+@pytest.mark.parametrize("value,twin", VALUES,
+                         ids=["IntPoly", "IntPoly-zero", "ModPoly", "ModPoly-stride", "IntMatrix"])
+def test_value_type(value, twin):
+    assert twin == value and hash(twin) == hash(value)
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+    for name in value.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+
+
+def test_value_types_are_distinct():
+    assert IntPoly([1]) != ModPoly(5, [1])
+    assert ModPoly(5, [1]) != ModPoly(7, [1])
+
+
+def test_matrix_cache_is_not_a_field():
+    m = IntMatrix([[0, 1], [1, 0]])
+    assert finite_order_indices(m) == (1, 2)
+    fresh = IntMatrix(m.rows)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert m.to_dict() == {"rows": ((0, 1), (1, 0)), "dimension": 2}
+    assert finite_order_indices(copy.copy(m)) == (1, 2)
 
 
 def loaded_modules(code, *argv):

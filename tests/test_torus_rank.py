@@ -61,6 +61,10 @@ class TestPresentation:
         with pytest.raises(DomainError):
             GaloisTorusPresentation(3, IntMatrix.identity(2), 1)
 
+    def test_character_order_below_1(self):
+        with pytest.raises(DomainError, match="^character order must be >= 1$"):
+            GaloisTorusPresentation(1, IntMatrix([[1]]), 0)
+
     def test_infinite_order_rejected(self):
         from cremona_bounds.errors import NotFiniteOrder
 
