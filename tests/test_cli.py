@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -611,6 +612,30 @@ class TestResidueCap:
             f"domain error: phi(2147483646) = 534600000 residues exceed the cap of "
             f"{MAX_RESIDUES}"]
         assert elapsed < 2
+
+
+class TestLemmaDigests:
+    """The lemma's JSON output is pinned byte for byte: the default sweep, the
+    p = 13 row and the two rows whose digests the CI workflow pins too. Each
+    entry runs in a fresh CLI child under a timeout, as CI runs it."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        ([], "82efa7ca90b7aec176ba227fd646275f44b05d2450127cc0121e955a46774023"),
+        (["--max-n", "300", "--primes", "13"],
+         "8a79b2fd41259c05098931128d59e3b5c13f2aec8f031ba9c3398ac1af7bc13c"),
+        (["--max-n", "60", "--primes", "10007"],
+         "babeb6663448228e6509b680893f178a4e6f8082f1a7088e83f119d2692b14c0"),
+        (["--max-n", "3000", "--primes", "2"],
+         "5994abb85cbf182a3bef797e852b45dae6af1264eea14cf4377809c173814219"),
+    ], ids=["default", "300-13", "60-10007", "3000-2"])
+    def test_output_digest(self, argv, digest):
+        child = cli_child("lemma", *argv, "--format", "json", stdout=subprocess.PIPE)
+        try:
+            out, err = child.communicate(timeout=20)
+        finally:
+            child.kill()
+        assert (child.returncode, err) == (0, b"")
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestInputSchema:
