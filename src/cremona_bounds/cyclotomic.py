@@ -14,14 +14,18 @@ Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of Phi_{m p^f}
 mod p multiplies by Phi_m(X^(p^(f-1))). Products and powers work in X^g for
 the gcd g of their operands' strides, and reductions mod p, `compose_power`,
 equality, evaluation and indexing work on f; so do root multiplicities mod
-p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p (one routine,
-`_multiplicity`, for `root_multiplicity`, the lemma and
+p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p
+(`_frobenius_form`, for `root_multiplicity`, the lemma and
 `order_t_multiplicity`). Only reading `coeffs` expands f by k, at each
 read.
 
 One long division, `_divmod`, divides by a monic polynomial over Z
-(`IntPoly.divmod_monic`) and mod p, where a root multiplicity is a valuation:
-f mod p divided by X - eps until the remainder is nonzero.
+(`IntPoly.divmod_monic`) and mod p. Mod p it runs Euclid's gcd, each divisor
+made monic first, and a root multiplicity is a valuation: f divided by
+X - eps until the remainder is nonzero, once f(eps) = 0. The lemma's cells
+list no residues: the roots of f of exact order t are the gcd of f with
+X^t - 1, less those of order t / q for each prime q | t, and their common
+multiplicity is a valuation by that gcd.
 
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
@@ -44,14 +48,7 @@ from itertools import accumulate, compress, count
 from operator import add, index, mul
 
 from .errors import DomainError, Record, Report, VerificationError
-from .numth import (
-    check_prime,
-    check_residue_count,
-    divisors,
-    euler_phi,
-    factorize,
-    residues_of_order,
-)
+from .numth import check_prime, check_residue_count, divisors, euler_phi, factorize
 
 MAX_CYCLOTOMIC_INDEX = 10**6
 
@@ -423,87 +420,120 @@ def reduce_mod(poly: IntPoly, p: int) -> ModPoly:
     return ModPoly(p)._like(_strip([c % p for c in poly._short]), poly._step)
 
 
-def _p_free(n: int, p: int) -> tuple:
-    """(m, f) with n = m * p^f and p not dividing m; (0, 0) for n = 0, not a loop."""
-    f = 0
-    while n and n % p == 0:
-        n //= p
-        f += 1
-    return n, f
-
-
-def _multiplicity(poly: _Poly, p: int, eps: int) -> int:
-    """Multiplicity of eps in [0, p) as a root of poly mod p, for poly = f(X^k)
-    over Z or Z/p, on f alone; DomainError if poly is 0 mod p. With k = m * p^j
-    and p not dividing m, f(X^k) = f(X^m)^(p^j) over Z/p (Frobenius), and
-    eps != 0 is a simple root of X^m - eps^m, so the multiplicity is p^j
-    times that of eps^m in f; that of 0 is k times that of 0 in f. The
-    multiplicity in f is a valuation: f mod p is divided by X - eps^m
-    (`_divmod`) until the remainder is nonzero."""
-    k = poly.stride or 1
-    m, j = _p_free(k, p)
-    scale, eps = (p**j, pow(eps, m, p)) if eps else (k, 0)
-    f = _strip([c % p for c in poly._short])
-    if not f:
+def _frobenius_form(poly: _Poly, p: int) -> tuple:
+    """(f, m, q) for poly = f(X^k) over Z or Z/p, k = m * q with q = p^j the
+    p-power part of k, gcd(k, p^bits(k)), so that poly = f(X^m)^q over Z/p
+    (Frobenius); f is the stored sequence, unreduced. DomainError if f is 0
+    mod p."""
+    if not any(c % p for c in poly._short):
         raise DomainError("root multiplicity undefined for the zero polynomial")
-    # f != 0 mod p: a nonzero remainder comes by the (deg f + 1)-th division
-    for mult in count():
-        f, rem = _divmod(f, (-eps, 1), p)
-        if rem[0]:
-            return scale * mult
+    k = poly.stride or 1
+    q = math.gcd(k, p ** k.bit_length())
+    return poly._short, k // q, q
+
+
+def _valuation(f, h, p: int) -> tuple:
+    """(k, r) for f != 0 mod p and a monic h: k the largest with h^k | f over
+    Z/p, and r = (f / h^k) mod h, nonzero, by `_divmod`."""
+    for k in count():
+        f, rem = _divmod(f, h, p)
+        if any(rem):
+            return k, rem
 
 
 def root_multiplicity(pbar: ModPoly, eps: int) -> int:
-    """Largest m with (X - eps)^m dividing pbar over Z/p."""
+    """Largest m with (X - eps)^m dividing pbar over Z/p, on its stored form
+    f(X^k) alone (`_frobenius_form`): eps != 0 is a simple root of
+    X^m - eps^m, so the multiplicity is q = p^j times that of eps^m in f;
+    that of 0 is k times that of 0 in f. f is evaluated there once by
+    Horner's rule, and only a root pays for the valuation by X - eps^m."""
     if pbar.p is None:
         raise DomainError("root multiplicity needs a polynomial mod p")
-    if not pbar:
-        raise DomainError("root multiplicity undefined for the zero polynomial")
     p, eps = pbar.p, index(eps)
     if not 0 <= eps < p:
         raise DomainError(f"residue {eps} not reduced mod {p}")
-    return _multiplicity(pbar, p, eps)
+    f, m, q = _frobenius_form(pbar, p)
+    scale, eps = (q, pow(eps, m, p)) if eps else (m * q, 0)
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * eps + c) % p
+    return 0 if acc else scale * _valuation(f, (-eps, 1), p)[0]
 
 
-def residue_multiplicities(poly: IntPoly, p: int, t: int, residues) -> dict:
-    """{eps: multiplicity of eps as a root of poly mod p} over residues, the
-    order-t residues mod p from `residues_of_order(p, t)`, built once per (p, t).
+def _gcd(a, b, p: int) -> list:
+    """Monic gcd mod p of a, monic or 0, and b, in [0, p), not both 0:
+    Euclid, each divisor made monic before `_divmod`, until a remainder is
+    constant. gcd(0, b) is b made monic."""
+    b = _strip(b)
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _strip(_divmod(a, b, p)[1])
+    return [1] if b else a
 
-    Since eps^t = 1, poly(eps) = sum_{r<t} eps^r * S_r mod p with S_r the sum
-    of the coefficients of degree r mod t, taken once on the compressed
-    coefficients (stride rule) and shared by every residue. Only an actual
-    root pays for `_multiplicity`, which reduces f mod p once and divides.
+
+def _unity_gcd(a, s: int, p: int) -> list:
+    """Monic gcd mod p of X^s - 1 and the integer sequence a, nonzero mod p.
+    For deg a >= s, a folded mod X^s - 1 by slice sums starts Euclid.
+    Otherwise Euclid starts from X^s - 1 mod a: dividing by a a polynomial
+    of degree up to b = len(a) * bits(s) costs about the reductions of the
+    log s squarings of a power mod a, so X^s = (X^e)^(s / e) mod a, by one
+    `_divmod` for X^e, e the largest divisor of s up to b, and `_power` on
+    products reduced by `_divmod`. A monomial a shares no root with
+    X^s - 1; no power of X is 0 mod any other a."""
+    if len(a) > s:
+        return _gcd([p - 1] + [0] * (s - 1) + [1], [sum(a[i::s]) % p for i in range(s)], p)
+    a = _gcd((), [c % p for c in a], p)
+    if a.count(0) == len(a) - 1:
+        return [1]
+    e = max(d for d in divisors(s) if d <= len(a) * s.bit_length())
+    x = _power(_divmod([0] * e + [1], a, p)[1], s // e, None,
+               lambda x, y: _divmod(_convolve(x, y, p), a, p)[1])
+    return _gcd(a, [(x[0] - 1) % p, *x[1:]], p)
+
+
+def _order_cell(f, g, p: int, t: int, m: int, q: int) -> tuple:
+    """(roots, k) for poly = f(X^(m q)), q = p^j, mod p at the residues of
+    order t | p - 1, with (f, m, q) from `_frobenius_form` and g either f or
+    gcd(f, X^s - 1) mod p for a multiple s of u = t / gcd(t, m). eps -> eps^m
+    maps the order-t residues onto the order-u ones, phi(t) / phi(u) to one,
+    and poly's multiplicity at eps is q times f's at eps^m (stride rule).
+
+    On f, at order u: X^u - 1 is squarefree and splits over Z/p, so
+    h = gcd(g, X^u - 1), with gcd(h, X^(u/l) - 1) divided out for each prime
+    l | u, is the product of X - eps over the roots eps of f of exact order u.
+    k is the largest with h^k | f, the least multiplicity among those roots,
+    and deg h - deg gcd(f / h^k, h) of them have multiplicity exactly k: the
+    roots. So every order-t residue has multiplicity k iff roots = phi(t),
+    none is a root iff roots = k = 0, and any other roots means the order-t
+    residues disagree.
     """
-    # on poly = f(X^k), S_(j*k mod t) = sum f[j::t/gcd(k, t)] for j < t/gcd(k, t),
-    # the other S_r are 0, and evaluation costs min(t, deg + 1) steps
-    k, short = poly.stride or 1, poly._short
-    step = t // math.gcd(k, t)
-    sums = [0] * min(t, poly.degree + 1)
-    for j in range(min(step, len(short))):
-        sums[j * k % t] = sum(short[j::step]) % p
-    sums.reverse()
-    mults = {}
-    for eps in residues:
-        acc = 0
-        for s in sums:
-            acc = (acc * eps + s) % p
-        mults[eps] = _multiplicity(poly, p, eps) if acc == 0 else 0
-    return mults
+    u = t // math.gcd(t, m)
+    h = _unity_gcd(g, u, p)
+    for ell, _ in factorize(u):
+        if len(h) > 1:
+            h = _divmod(h, _unity_gcd(h, u // ell, p), p)[0]
+    if len(h) == 1:
+        return 0, 0
+    k, rem = _valuation(f, h, p)
+    return (len(h) - len(_gcd(h, rem, p))) * (euler_phi(t) // euler_phi(u)), k * q
 
 
 def order_t_multiplicity(n: int, p: int, t: int) -> int:
     """Common multiplicity of every order-t residue as a root of Phi_n mod p:
-    the lemma's fact (a) cell, `residue_multiplicities` on Phi_n itself, with
-    no p-stripping (a p-power in the stride of Phi_n is `_multiplicity`'s
-    Frobenius step). Fails loudly if the order-t residues disagree.
+    the lemma's fact (a) cell (`_order_cell`) on the stored form f of Phi_n,
+    with gcd(f, X^t - 1) in place of the lemma's gcd with X^(p-1) - 1, and no
+    p-stripping (a p-power in the stride of Phi_n is the cell's Frobenius
+    step). Fails loudly if the order-t residues disagree. p and t are
+    checked first, with phi(t) at most MAX_RESIDUES.
     """
-    residues = residues_of_order(p, t)  # validates p and t before any work on n
-    mults = residue_multiplicities(cyclotomic_poly(n), p, t, residues)
-    if len(set(mults.values())) != 1:
-        raise VerificationError(
-            f"order-{t} residues disagree on multiplicity for n={n}, p={p}: {mults}"
-        )
-    return next(iter(mults.values()))
+    check_residue_count(p, t)  # validates p and t before any work on n
+    f, m, q = _frobenius_form(cyclotomic_poly(n), p)
+    roots, mult = _order_cell(f, f, p, t, m, q)
+    if roots not in (0, euler_phi(t)):
+        raise VerificationError(f"order-{t} residues disagree on multiplicity for n={n}, "
+                                f"p={p}: {roots} of {euler_phi(t)} have multiplicity {mult}")
+    return mult
 
 
 def verify_lemma_range(n_max: int, primes) -> Report:
@@ -515,10 +545,14 @@ def verify_lemma_range(n_max: int, primes) -> Report:
         divide n and n p^f is a supported cyclotomic index, by one product:
         Phi_{nq} * Phi_n(X^(q/p)) = Phi_n(X^q) mod p for q = p^f (Frobenius).
 
-    Residues are built once per (p, t); a prime p with phi(p - 1) above
-    MAX_RESIDUES raises DomainError before its first cell. Failures land in
-    the counterexample list by p, t and n, fact (c)'s last for each p; none
-    are expected.
+    Facts (a) and (b) run n by n on the stored form f of Phi_n: g =
+    gcd(f, X^(p-1) - 1) mod p, the product of its distinct roots in F_p^*,
+    is taken once, with the order of X mod g, the lcm of their orders; every
+    t whose cell can hold a root then runs `_order_cell` on g. No residue is
+    listed and p is not capped. A uniformity failure records `roots`, the
+    number of order-t residues of the least multiplicity found among them,
+    and that `multiplicity`. Failures land in the counterexample list by p,
+    then t and n, fact (c)'s last for each p; none are expected.
     """
     if not 1 <= n_max <= MAX_CYCLOTOMIC_INDEX:
         raise DomainError(f"n_max out of range [1, 10^6]: {n_max}")
@@ -526,27 +560,27 @@ def verify_lemma_range(n_max: int, primes) -> Report:
     report = Report(n_max=n_max, primes=list(primes), checks_run=0,
                     counterexamples=[])
     for p in primes:
-        check_residue_count(p, p - 1)  # phi(p - 1) is the largest phi(t), t | p - 1
-        for t in divisors(p - 1):
-            residues = residues_of_order(p, t)
-            for n in range(1, n_max + 1):
-                mults = residue_multiplicities(cyclotomic_poly(n), p, t, residues)
-                report.checks_run += 1
-                if len(set(mults.values())) != 1:
-                    report.counterexamples.append(
-                        {"n": n, "p": p, "t": t, "fact": "uniformity",
-                         "multiplicities": mults}
-                    )
-                    continue
-                mult = next(iter(mults.values()))
-                expected_positive = _p_free(n, p)[0] == t
-                report.checks_run += 1
-                if (mult > 0) != expected_positive:
-                    report.counterexamples.append(
-                        {"n": n, "p": p, "t": t, "fact": "positivity",
-                         "multiplicity": mult,
-                         "n_is_t_times_p_power": expected_positive}
-                    )
+        orders, cells = divisors(p - 1), []
+        for n in range(1, n_max + 1):
+            f, m, q = _frobenius_form(cyclotomic_poly(n), p)
+            g = _unity_gcd(f, p - 1, p)
+            # the order of X mod g, the least d | p - 1 with g | X^d - 1, is
+            # the lcm of the orders of f's roots: none has order u unless u | d
+            d = next(d for d in orders if len(_unity_gcd(g, d, p)) == len(g))
+            for t in orders:
+                roots, mult = (_order_cell(f, g, p, t, m, q)
+                               if d % (t // math.gcd(t, m)) == 0 else (0, 0))
+                uniform = roots in (0, euler_phi(t))
+                report.checks_run += 1 + uniform
+                if not uniform:
+                    cells.append({"n": n, "p": p, "t": t, "fact": "uniformity",
+                                  "roots": roots, "multiplicity": mult})
+                # n = t * p^f iff n less its p-power part gcd(n, p^bits(n)) is
+                # t; a positivity failure expects the opposite of mult > 0
+                elif (mult > 0) != (t == n // math.gcd(n, p ** n.bit_length())):
+                    cells.append({"n": n, "p": p, "t": t, "fact": "positivity",
+                                  "multiplicity": mult, "n_is_t_times_p_power": mult == 0})
+        report.counterexamples += sorted(cells, key=lambda c: (c["t"], c["n"]))
         for n in range(1, min(n_max, MAX_CYCLOTOMIC_INDEX // p) + 1):
             if n % p == 0:
                 continue

@@ -64,8 +64,9 @@ def check_order_divides(p: int, t: int) -> int:
 
 
 # The most order-t residues mod p, phi(t) of them, that are ever listed:
-# above it, residues_of_order and the lemma sweep raise DomainError before any
-# list is built. At the cap (p = 2,535,101, t = p - 1), torus-rank with d = 1
+# above it, residues_of_order (so torus-rank) and order_t_multiplicity raise
+# DomainError before any work. The lemma sweep lists no residues and is not
+# capped. At the cap (p = 2,535,101, t = p - 1), torus-rank with d = 1
 # takes 4.6 s and 278 MiB peak RSS on a 2-vCPU VM (CPython 3.11.7, one child
 # process with interpreter start-up) and prints 21.6 MB.
 MAX_RESIDUES = 1_000_000

@@ -175,7 +175,7 @@ class TestLemma:
         assert "domain error" in err
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: 0)
+        monkeypatch.setattr(cyclotomic, "_order_cell", lambda *args: (0, 0))
         results = failed_check(capsys, "lemma", "--max-n", "1", "--primes", "3")
         assert [c["fact"] for c in results["counterexamples"]] == ["positivity"]
 
@@ -581,36 +581,48 @@ class TestOutputErrors:
             "output error: [Errno 28] No space left on device"]
 
 
+def limited_child(*argv):
+    """A CLI child on argv under a 1 GiB address-space limit: (exit code,
+    stdout, stderr, seconds). A run that would fill the machine's memory
+    fails with a MemoryError instead."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    child = cli_child(*argv, stdout=subprocess.PIPE, preexec_fn=limit)
+    try:
+        out, err = child.communicate(timeout=20)
+    finally:
+        child.kill()
+    return child.returncode, out, err, time.perf_counter() - start
+
+
 class TestResidueCap:
-    """Order-t residue counts above MAX_RESIDUES exit 2 at once. Each child
-    runs under a 1 GiB address-space limit, so a missing cap fails the test
-    with a MemoryError instead of filling the machine's memory."""
+    """Order-t residue counts above MAX_RESIDUES exit 2 at once; the lemma,
+    which lists no residues, runs past the cap. Each child runs under a 1 GiB
+    address-space limit."""
 
     @pytest.mark.parametrize("argv", [
         ["torus-rank", "--file", "{file}", "--p", "2147483647"],
-        ["lemma", "--max-n", "5", "--primes", "2147483647"],
-    ], ids=["torus-rank", "lemma"])
+    ], ids=["torus-rank"])
     def test_over_cap_exits_2_at_once(self, tmp_path, argv):
-        import resource
-
         path = write_json(tmp_path, "torus.json",
                           {"dimension": 1, "sigma": [[1]], "chi_order": 2**31 - 2})
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        start = time.perf_counter()
-        child = cli_child(*(a.format(file=path) for a in argv), stdout=subprocess.PIPE,
-                          preexec_fn=limit)
-        try:
-            out, err = child.communicate(timeout=20)
-        finally:
-            child.kill()
-        elapsed = time.perf_counter() - start
-        assert (child.returncode, out) == (2, b"")
+        code, out, err, elapsed = limited_child(*(a.format(file=path) for a in argv))
+        assert (code, out) == (2, b"")
         assert err.decode().splitlines() == [
             f"domain error: phi(2147483646) = 534600000 residues exceed the cap of "
             f"{MAX_RESIDUES}"]
+        assert elapsed < 2
+
+    def test_lemma_passes_past_the_cap(self):
+        # phi(2^31 - 2) = 534,600,000 order-t residues at t = p - 1, none listed
+        code, out, err, elapsed = limited_child(
+            "lemma", "--max-n", "5", "--primes", "2147483647", "--format", "json")
+        assert (code, err) == (0, b"")
+        assert json.loads(out)["pass"] is True
         assert elapsed < 2
 
 
@@ -771,9 +783,9 @@ class TestExitCodeFuzz:
     order-t residue grows with phi(t), a known cost of its own; the one
     larger draw, 2^31 - 2, has phi = 534,600,000 above MAX_RESIDUES, so with
     p = 2^31 - 1 torus-rank must exit 2 before it lists any residue. The
-    lemma's valid primes are at most 13 for the same reason, and 2^31 - 1,
-    whose phi(p - 1) is above the cap, must exit 2 at once. Arguments are
-    passed with "=", so that a minus sign reaches the parser."""
+    lemma lists no residues: its valid primes are those up to 13 and
+    2^31 - 1. Arguments are passed with "=", so that a minus sign reaches
+    the parser."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -825,20 +837,22 @@ class TestExitCodeFuzz:
         max_n=st.one_of(st.integers(1, 40), st.sampled_from([-1, 0, 10**6 + 1, "x"])),
         # each prime is valid about half of the time
         primes=st.one_of(
-            st.lists(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13]),
-                               st.sampled_from([0, 1, 4, 9, 12, -3, 2**31 - 1, 2**31])),
+            st.lists(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 2**31 - 1]),
+                               st.sampled_from([0, 1, 4, 9, 12, -3, 2**31])),
                      min_size=1, max_size=4).map(lambda ps: ",".join(map(str, ps))),
             st.sampled_from(["", "a,b"])),
         fmt=st.sampled_from(["text", "json"]),
     )
     @example(max_n=5, primes="2147483647", fmt="json")
+    @example(max_n=40, primes="2,13,2147483647", fmt="json")
     @example(max_n=40, primes="2,3,5,7,11,13", fmt="json")
     def test_lemma_exit_code_and_time(self, capsys, max_n, primes, fmt):
         argv = ["lemma", f"--max-n={max_n}", f"--primes={primes}", "--format", fmt]
         code, elapsed = _run_main(argv)
         err = capsys.readouterr().err
         valid = (isinstance(max_n, int) and 1 <= max_n <= 10**6 and primes
-                 and all(x in {"2", "3", "5", "7", "11", "13"} for x in primes.split(",")))
+                 and all(x in {"2", "3", "5", "7", "11", "13", str(2**31 - 1)}
+                         for x in primes.split(",")))
         assert code == (1 if max_n == "x" else 0 if valid else 2)
         assert "Traceback" not in err
         assert elapsed < 2, f"lemma --max-n {max_n} --primes {primes}: {elapsed:.2f} s"

@@ -17,7 +17,6 @@ from cremona_bounds.cyclotomic import (
     cyclotomic_poly,
     order_t_multiplicity,
     reduce_mod,
-    residue_multiplicities,
     root_multiplicity,
     verify_cyclotomic,
     verify_lemma_range,
@@ -502,11 +501,6 @@ class TestResidueCap:
             call(self.P, self.P - 1)
         assert time.perf_counter() - start < 0.5
 
-    def test_lemma_checks_before_any_cell(self, no_scan, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "residues_of_order", None)
-        with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUES}"):
-            verify_lemma_range(5, {self.P})
-
     def test_cap_boundary(self, monkeypatch):
         # with the cap at 4 mod 31: phi(10) = 4 and phi(6) = 2 pass (6 is above
         # the cap, so it is factored), phi(15) = phi(30) = 8 do not
@@ -516,9 +510,9 @@ class TestResidueCap:
         for t in (15, 30):
             with pytest.raises(DomainError, match="cap of 4"):
                 residues_of_order(31, t)
+        # the lemma lists no residues, so the cap does not bind it
         assert verify_lemma_range(3, {11}).passed  # phi(10) = 4
-        with pytest.raises(DomainError, match="phi\\(30\\) = 8 residues exceed the cap of 4"):
-            verify_lemma_range(3, {31})
+        assert verify_lemma_range(3, {31}).passed  # phi(30) = 8
 
 
 def _shift_multiplicity(pbar: ModPoly, eps: int) -> int:
@@ -629,10 +623,12 @@ class TestRootMultiplicity:
         assume(pbar)
         expected = {eps: _division_multiplicity(pbar.coeffs, p, eps) for eps in range(p)}
         assert {eps: root_multiplicity(pbar, eps) for eps in range(p)} == expected
-        # eps^(p - 1) = 1 for every unit, so the slice sums at t = p - 1 hold
-        units = range(1, p)
-        assert residue_multiplicities(poly, p, p - 1, units) == {
-            eps: expected[eps] for eps in units}
+        # the lemma's cell at every order t | p - 1, on the same stored form
+        for t in divisors(p - 1):
+            order_t = {eps: expected[eps] for eps in range(1, p)
+                       if multiplicative_order(eps, p) == t}
+            for lemma in (False, True):
+                assert _cell(poly, p, t, lemma) == _cell_reference(order_t)
 
 
 def _schoolbook(a, b):
@@ -708,19 +704,40 @@ def _residue_reference(poly: IntPoly, p: int, t: int) -> dict:
     return {eps: _division_multiplicity(coeffs, p, eps) for eps in residues_of_order(p, t)}
 
 
+def _cell_reference(mults: dict) -> tuple:
+    """(roots, k) from per-residue multiplicities: k the least positive one,
+    0 if none is, and roots the number of residues of multiplicity exactly k."""
+    k = min(filter(None, mults.values()), default=0)
+    return (list(mults.values()).count(k) if k else 0), k
+
+
+def _cell(poly, p: int, t: int, lemma: bool) -> tuple:
+    """The lemma's cell on poly at order t, with g = gcd(f, X^(p-1) - 1) as
+    the lemma takes it, or g = f as order_t_multiplicity passes it."""
+    f, m, j = cyclotomic._frobenius_form(poly, p)
+    g = cyclotomic._unity_gcd(f, p - 1, p) if lemma else f
+    return cyclotomic._order_cell(f, g, p, t, m, j)
+
+
+# (X - 2)^2 (X - 3): mod 5, the order-4 residues 2 and 3 have multiplicities 2 and 1
+NON_UNIFORM = IntPoly((-2, 1)) ** 2 * IntPoly((-3, 1))
+
 DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 13, 31, 61, 97, 101)
 
 
 class TestResidueMultiplicities:
+    """The lemma's cell against synthetic division at every order-t residue,
+    with g as the lemma takes it and as order_t_multiplicity passes it."""
+
     def test_matches_per_residue_reference(self):
         # n runs over every index up to 200, those divisible by p included
         for p in DIFFERENTIAL_PRIMES:
             for n in range(1, 201):
                 phi_n = cyclotomic_poly(n)
                 for t in divisors(p - 1):
-                    expected = _residue_reference(phi_n, p, t)
-                    got = residue_multiplicities(phi_n, p, t, residues_of_order(p, t))
-                    assert got == expected, (n, p, t)
+                    expected = _cell_reference(_residue_reference(phi_n, p, t))
+                    for lemma in (False, True):
+                        assert _cell(phi_n, p, t, lemma) == expected, (n, p, t)
 
     def test_p_dividing_n_with_repeated_roots(self):
         # Phi_{t p^f} = Phi_t^{phi(p^f)} mod p: every order-t residue is a
@@ -728,16 +745,20 @@ class TestResidueMultiplicities:
         for t, p, f in [(4, 5, 1), (2, 3, 2), (1, 2, 3), (3, 7, 2), (2, 5, 3),
                         (12, 13, 2)]:
             phi_n = cyclotomic_poly(t * p**f)
-            mults = residue_multiplicities(phi_n, p, t, residues_of_order(p, t))
-            assert mults == _residue_reference(phi_n, p, t)
-            assert set(mults.values()) == {euler_phi(p**f)}, (t, p, f)
+            expected = (euler_phi(t), euler_phi(p**f))
+            assert _cell_reference(_residue_reference(phi_n, p, t)) == expected
+            for lemma in (False, True):
+                assert _cell(phi_n, p, t, lemma) == expected, (t, p, f)
 
-    def test_validates_p_and_t(self):
-        # the residue list is built, and (p, t) validated, before the call
+    def test_validates_p_and_t(self, monkeypatch):
+        # the cell trusts its p and t: its callers check them before any cell
+        monkeypatch.setattr(cyclotomic, "_order_cell", None)
         with pytest.raises(DomainError):
-            residue_multiplicities(cyclotomic_poly(4), 5, 3, residues_of_order(5, 3))
+            order_t_multiplicity(4, 5, 3)
         with pytest.raises(DomainError):
-            residue_multiplicities(cyclotomic_poly(4), 6, 1, residues_of_order(6, 1))
+            order_t_multiplicity(4, 6, 1)
+        with pytest.raises(DomainError):
+            verify_lemma_range(5, {6})
 
     def test_zero_mod_p_rejected(self):
         # every residue is a "root" of 0, whose multiplicity is undefined;
@@ -745,7 +766,7 @@ class TestResidueMultiplicities:
         for k in (1, 3, 25):
             poly = IntPoly((5, 10)).compose_power(k)
             with pytest.raises(DomainError, match="zero polynomial"):
-                residue_multiplicities(poly, 5, 4, residues_of_order(5, 4))
+                _cell(poly, 5, 4, False)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -764,16 +785,18 @@ class TestResidueMultiplicities:
     @example(pts=(7, 6, 1), k=3, f=[14], j=0)
     @example(pts=(7, 3, 1), k=3, f=[], j=0)
     def test_compressed_slice_sums(self, pts, k, f, j):
-        # poly = g(X^k) has stride a multiple of k; planting Phi_s^j before the
-        # substitution makes every eps with eps^k of order s a root
+        # poly = g(X^k) has stride a multiple of k, and its stored form is
+        # folded by slice sums; planting Phi_s^j before the substitution makes
+        # every eps with eps^k of order s a root
         p, t, s = pts
         poly = (IntPoly(f) * cyclotomic_poly(s) ** j).compose_power(k)
         if not reduce_mod(poly, p):
             with pytest.raises(DomainError):
-                residue_multiplicities(poly, p, t, residues_of_order(p, t))
+                _cell(poly, p, t, False)
             return
-        mults = residue_multiplicities(poly, p, t, residues_of_order(p, t))
-        assert mults == _residue_reference(poly, p, t)
+        expected = _cell_reference(_residue_reference(poly, p, t))
+        for lemma in (False, True):
+            assert _cell(poly, p, t, lemma) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -787,9 +810,17 @@ class TestResidueMultiplicities:
         cofactor = IntPoly(f)
         assume(reduce_mod(cofactor, p))
         poly = cofactor * cyclotomic_poly(t) ** k
-        mults = residue_multiplicities(poly, p, t, residues_of_order(p, t))
-        assert mults == _residue_reference(poly, p, t)
+        mults = _residue_reference(poly, p, t)
         assert min(mults.values()) >= k
+        for lemma in (False, True):
+            assert _cell(poly, p, t, lemma) == _cell_reference(mults)
+
+    def test_planted_non_uniform(self):
+        # the cell finds the least multiplicity, 1, at one of the phi(4) = 2
+        # order-4 residues: a uniformity failure with its count
+        assert _residue_reference(NON_UNIFORM, 5, 4) == {2: 2, 3: 1}
+        for lemma in (False, True):
+            assert _cell(NON_UNIFORM, 5, 4, lemma) == (1, 1)
 
 
 class TestOrderTMultiplicity:
@@ -811,8 +842,9 @@ class TestOrderTMultiplicity:
             order_t_multiplicity(n, 5, 1)
 
     def test_disagreeing_residues_raise(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: eps)
-        with pytest.raises(VerificationError, match="disagree"):
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", lambda n: NON_UNIFORM)
+        message = "disagree on multiplicity for n=4, p=5: 1 of 2 have multiplicity 1"
+        with pytest.raises(VerificationError, match=message):
             order_t_multiplicity(4, 5, 4)
 
     def test_runs_the_cell_on_phi_n(self, monkeypatch):
@@ -927,20 +959,20 @@ class TestVerifyLemmaRange:
         ]
 
     def test_uniformity_counterexample(self, monkeypatch):
-        # the two order-4 residues mod 5 get different multiplicities
-        monkeypatch.setattr(
-            cyclotomic, "residue_multiplicities",
-            lambda poly, p, t, residues: {eps: eps for eps in residues},
-        )
+        # the two order-4 residues mod 5 get multiplicities 2 and 1: the record
+        # counts the one residue of the least multiplicity, 1
+        true_poly = cyclotomic.cyclotomic_poly
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly",
+                            lambda n: NON_UNIFORM if n == 1 else true_poly(n))
         report = verify_lemma_range(1, {5})
         (record,) = [c for c in report.counterexamples if c["fact"] == "uniformity"]
         assert record == {"n": 1, "p": 5, "t": 4, "fact": "uniformity",
-                          "multiplicities": {2: 2, 3: 3}}
+                          "roots": 1, "multiplicity": 1}
         assert report.to_dict()["passed"] is False
 
     def test_positivity_counterexample(self, monkeypatch):
         # 1 is a root of Phi_1 = X - 1, so multiplicity 0 contradicts n = t
-        monkeypatch.setattr(cyclotomic, "_multiplicity", lambda poly, p, eps: 0)
+        monkeypatch.setattr(cyclotomic, "_order_cell", lambda *args: (0, 0))
         report = verify_lemma_range(1, {3})
         assert report.counterexamples == [
             {"n": 1, "p": 3, "t": 1, "fact": "positivity", "multiplicity": 0,
@@ -958,18 +990,17 @@ class TestVerifyLemmaRange:
         ]
         assert report.to_dict()["passed"] is False
 
-    def test_one_residue_list_per_p_and_t(self, monkeypatch):
-        calls = []
+    def test_lists_no_residues(self, monkeypatch):
+        # facts (a) and (b) are gcds in F_p[X]: no residue is listed or
+        # counted, so no cap applies and p = 2^31 - 1 runs
+        def forbidden(*args):
+            raise AssertionError("the lemma listed or counted residues")
 
-        def residues_spy(p, t):
-            calls.append((p, t))
-            return residues_of_order(p, t)
-
-        monkeypatch.setattr(cyclotomic, "residues_of_order", residues_spy)
+        for name in ("residues_of_order", "check_residue_count"):
+            monkeypatch.setattr(numth, name, forbidden)
+            monkeypatch.setattr(cyclotomic, name, forbidden, raising=False)
         assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
-        assert sorted(calls) == [(p, t) for p in (2, 3, 5, 7, 11, 13)
-                                 for t in divisors(p - 1)]
-        assert len(calls) == 20
+        assert verify_lemma_range(5, {2**31 - 1}).passed
 
     def test_frobenius_check_expands_nothing(self, monkeypatch):
         # fact (c) compares Phi_{nq} * Phi_n(X^(q/p)) with Phi_n(X^q) on their
