@@ -23,9 +23,9 @@ One long division, `_divmod`, divides by a monic polynomial over Z
 (`IntPoly.divmod_monic`) and mod p. Mod p it runs Euclid's gcd, each divisor
 made monic first, and a root multiplicity is a valuation: f divided by
 X - eps until the remainder is nonzero, once f(eps) = 0. The lemma's cells
-list no residues: the roots of f of exact order t are the gcd of f with
-X^t - 1, less those of order t / q for each prime q | t, and their common
-multiplicity is a valuation by that gcd.
+list no residues: the product of the roots of f of exact order t is the gcd
+of f with X^t - 1, less the roots whose order divides t / l for a prime
+l | t, and their common multiplicity is a valuation by that product.
 
 Kronecker digits of up to 8 bytes are packed by `struct` in C in the next
 word width (1, 2, 4 or 8 bytes), then narrowed to the digit width by strided
@@ -493,7 +493,7 @@ def _unity_gcd(a, s: int, p: int) -> list:
 
 
 def _order_cell(f, g, p: int, t: int, m: int, q: int) -> tuple:
-    """(roots, k) for poly = f(X^(m q)), q = p^j, mod p at the residues of
+    """(roots, k * q) for poly = f(X^(m q)), q = p^j, mod p at the residues of
     order t | p - 1, with (f, m, q) from `_frobenius_form` and g either f or
     gcd(f, X^s - 1) mod p for a multiple s of u = t / gcd(t, m). eps -> eps^m
     maps the order-t residues onto the order-u ones, phi(t) / phi(u) to one,
