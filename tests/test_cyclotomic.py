@@ -501,6 +501,17 @@ class TestResidueCap:
             call(self.P, self.P - 1)
         assert time.perf_counter() - start < 0.5
 
+    def test_lemma_counts_no_residues(self, monkeypatch):
+        # the lemma checks no residue count, so phi(P - 1) above the cap
+        # does not stop it
+        def forbidden(*args):
+            raise AssertionError("the lemma counted residues")
+
+        monkeypatch.setattr(numth, "check_residue_count", forbidden)
+        monkeypatch.setattr(cyclotomic, "check_residue_count", forbidden)
+        assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
+        assert verify_lemma_range(5, {self.P}).passed
+
     def test_cap_boundary(self, monkeypatch):
         # with the cap at 4 mod 31: phi(10) = 4 and phi(6) = 2 pass (6 is above
         # the cap, so it is factored), phi(15) = phi(30) = 8 do not
@@ -991,14 +1002,12 @@ class TestVerifyLemmaRange:
         assert report.to_dict()["passed"] is False
 
     def test_lists_no_residues(self, monkeypatch):
-        # facts (a) and (b) are gcds in F_p[X]: no residue is listed or
-        # counted, so no cap applies and p = 2^31 - 1 runs
+        # facts (a) and (b) are gcds in F_p[X]: no residue is listed
         def forbidden(*args):
-            raise AssertionError("the lemma listed or counted residues")
+            raise AssertionError("the lemma listed residues")
 
-        for name in ("residues_of_order", "check_residue_count"):
-            monkeypatch.setattr(numth, name, forbidden)
-            monkeypatch.setattr(cyclotomic, name, forbidden, raising=False)
+        monkeypatch.setattr(numth, "residues_of_order", forbidden)
+        monkeypatch.setattr(cyclotomic, "residues_of_order", forbidden, raising=False)
         assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
         assert verify_lemma_range(5, {2**31 - 1}).passed
 
