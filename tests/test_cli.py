@@ -626,27 +626,148 @@ class TestResidueCap:
         assert elapsed < 2
 
 
-class TestLemmaDigests:
-    """The lemma's JSON output is pinned byte for byte: the default sweep, the
-    p = 13 row and the two rows whose digests the CI workflow pins too. Each
-    entry runs in a fresh CLI child under a timeout, as CI runs it."""
+P = next(intlinalg._crt_primes())
 
-    @pytest.mark.parametrize("argv,digest", [
-        ([], "82efa7ca90b7aec176ba227fd646275f44b05d2450127cc0121e955a46774023"),
-        (["--max-n", "300", "--primes", "13"],
-         "8a79b2fd41259c05098931128d59e3b5c13f2aec8f031ba9c3398ac1af7bc13c"),
-        (["--max-n", "60", "--primes", "10007"],
-         "babeb6663448228e6509b680893f178a4e6f8082f1a7088e83f119d2692b14c0"),
-        (["--max-n", "3000", "--primes", "2"],
-         "5994abb85cbf182a3bef797e852b45dae6af1264eea14cf4377809c173814219"),
-    ], ids=["default", "300-13", "60-10007", "3000-2"])
-    def test_output_digest(self, argv, digest):
-        child = cli_child("lemma", *argv, "--format", "json", stdout=subprocess.PIPE)
+
+def sigma_file(sigma, chi_order=1, q=4):
+    """A d = 64 input file for both `torus-rank` and `oracle --file`."""
+    return json.dumps({"dimension": 64, "chi_order": chi_order, "q": q,
+                       "sigma": [list(row) for row in sigma]})
+
+
+def dense_sigma():
+    # U S U^-1 for S = random_finite_order_matrix(Random(0), 64) and (U, U^-1)
+    # = random_unimodular on the same generator: 1,515 of 4,096 entries are
+    # nonzero, the largest of absolute value 232, where the benchmark's d = 64
+    # sigma are sparse
+    rng = random.Random(0)
+    s = sampling.random_finite_order_matrix(rng, 64)
+    u, u_inv = sampling.random_unimodular(rng, 64)
+    return sigma_file((u @ s @ u_inv).rows, chi_order=3, q=1048573)
+
+
+def diagonal_zero_sigma():
+    # entries up to 10^30 with |tr sigma| = 0: rejected by the char poly mod P
+    # before any further CRT prime is sized from the entries
+    rng = random.Random(64)
+    return sigma_file([[0 if i == j else rng.randint(-10**30, 10**30) for j in range(64)]
+                       for i in range(64)])
+
+
+def lifted_block_sigma():
+    # companion blocks of order 6,126,120 with P added inside the Phi_17 block:
+    # the lift of the char poly mod P is cyclotomic, the char poly is not, and
+    # sigma^6126120 must not be computed
+    blocks = [intlinalg.companion_matrix(cyclotomic_poly(n))
+              for n in (3, 5, 7, 11, 13, 17, 8, 9)]
+    rows = [list(row) for row in IntMatrix.block_diagonal(blocks + [IntMatrix.identity(4)]).rows]
+    rows[40][36] += P
+    return sigma_file(rows)
+
+
+def multiple_of_p_sigma():
+    # I + P K for K dense with entries up to 10^22: I mod P, rejected by the
+    # residues mod the next prime before the CRT is sized from the entries
+    rng = random.Random(7)
+    return sigma_file([[int(i == j) + P * rng.randint(-10**22, 10**22) for j in range(64)]
+                       for i in range(64)])
+
+
+# Input files by name: a builder and the sha256 of its text, checked before any
+# child runs, so that a drift of `random` between Python versions is told
+# apart from a change of output.
+INPUTS = {
+    "torus-row.json": (
+        lambda: '{"dimension": 1, "chi_order": 1000002, "sigma": [[1]]}\n',
+        "d55573712d7ca4fc137a854d76b63c17857601be07ebf436d385e9ae6e0c9e1d"),
+    "dense-sigma.json": (
+        dense_sigma, "4bcd8f9678b1d886c1f512f723949f597cee071cb794893b535844402cdf4cb1"),
+    "diagonal-zero-sigma.json": (
+        diagonal_zero_sigma, "4b3dfcf83688999f0b7477e3b80e7cb23021a553c070d775fadaee0428f20c7a"),
+    "lifted-block-sigma.json": (
+        lifted_block_sigma, "b4ed442f9a6c7abad768cfaaa07860a12398fde89af2d0467fa8451f06ca7f00"),
+    "multiple-of-p-sigma.json": (
+        multiple_of_p_sigma, "ccf9a88b59e9f5ab6db2595d0901cf16572f984f7f79dca834a04db20f595aa1"),
+}
+
+# One row per pinned run: argv, the INPUTS it reads, the exit code and the
+# sha256 of stdout.
+PINNED_OUTPUTS = [
+    pytest.param(["lemma", "--format", "json"], [], 0,
+                 "82efa7ca90b7aec176ba227fd646275f44b05d2450127cc0121e955a46774023",
+                 id="lemma"),
+    pytest.param(["lemma", "--max-n", "300", "--primes", "13", "--format", "json"], [], 0,
+                 "8a79b2fd41259c05098931128d59e3b5c13f2aec8f031ba9c3398ac1af7bc13c",
+                 id="lemma-300-13"),
+    # fact (c) did not finish in 90 s while it raised Phi_n mod p to phi(p^f)
+    pytest.param(["lemma", "--max-n", "60", "--primes", "10007", "--format", "json"], [], 0,
+                 "babeb6663448228e6509b680893f178a4e6f8082f1a7088e83f119d2692b14c0",
+                 id="lemma-60-10007"),
+    # the n = 2^f cells are Phi_(2^f) = 1 + X stored with stride 2^(f-1)
+    pytest.param(["lemma", "--max-n", "3000", "--primes", "2", "--format", "json"], [], 0,
+                 "5994abb85cbf182a3bef797e852b45dae6af1264eea14cf4377809c173814219",
+                 id="lemma-3000-2"),
+    # the largest documented cyclotomic indices: --p 7 reduces through the
+    # stride rule; 746130 has 7 primes and height 5477, the largest among the
+    # 7-prime squarefree indices; 969969 has phi(n) = 414,720, the slowest
+    # build, and prints 10.7 MB
+    pytest.param(["cyclotomic", "--n", "510510", "--format", "json"], [], 0,
+                 "38455c878dd0c7cffc84acce17b22871788397b8b825046f85a7d29da8f368b1",
+                 id="cyclotomic-510510"),
+    pytest.param(["cyclotomic", "--n", "510510"], [], 0,
+                 "1ede94f208119aec25843732176e62067c3dae2501516bc6dc6a9ee502b1e539",
+                 id="cyclotomic-510510-text"),
+    pytest.param(["cyclotomic", "--n", "999999", "--p", "7", "--format", "json"], [], 0,
+                 "8c48d2e2b017b4c2ed2ebc5f0f6f23d0c2d9afaaba0c835aba83e08f36626c13",
+                 id="cyclotomic-999999-p7"),
+    pytest.param(["cyclotomic", "--n", "746130", "--format", "json"], [], 0,
+                 "5339e5f4ac350117199eebb927523756eae82c6d79a5a9c664cbe539e6cfe5a3",
+                 id="cyclotomic-746130"),
+    pytest.param(["cyclotomic", "--n", "969969", "--format", "json"], [], 0,
+                 "10d6f9f3d757671f9359d72a8589b480a451e7e54e220c173a60036590cec4c3",
+                 id="cyclotomic-969969"),
+    # phi(t) = 333,332 order-t residues, listed once by the multiplicity chain
+    pytest.param(["torus-rank", "--file", "torus-row.json", "--p", "1000003",
+                  "--format", "json"], ["torus-row.json"], 0,
+                 "cef7c11deebd44a48eec40a88b2e7fce5ecb1d0b54262ac89c813a8afc1cc6b3",
+                 id="torus-row"),
+    pytest.param(["torus-rank", "--file", "dense-sigma.json", "--p", "2147483629",
+                  "--format", "json"], ["dense-sigma.json"], 0,
+                 "688e909405f99ee3f303a01cd3d35a7ef6689d6e8b78efb8e476efb62e79e59b",
+                 id="dense-sigma-torus-rank"),
+    pytest.param(["oracle", "--file", "dense-sigma.json", "--p", "2147483629",
+                  "--format", "json"], ["dense-sigma.json"], 0,
+                 "ca927d9cc233463fd34fd209623e96d0b4211d78e8b25c2d17b9dc5b977816c4",
+                 id="dense-sigma-oracle"),
+    # both loaders reject each sigma of infinite order with an empty stdout
+    *(pytest.param([command, "--file", name, "--p", "3"], [name], 2,
+                   hashlib.sha256(b"").hexdigest(), id=f"{name[:-5]}-{command}")
+      for name in ("diagonal-zero-sigma.json", "lifted-block-sigma.json",
+                   "multiple-of-p-sigma.json")
+      for command in ("torus-rank", "oracle")),
+]
+
+
+class TestPinnedOutputs:
+    """The CLI's stdout on a fixed corpus is pinned byte for byte, with its
+    exit code; a rejected input prints nothing. Each row runs in a fresh CLI
+    child in a temporary directory under a 20 s timeout, with its input files
+    under relative names, as the JSON echoes the --file argument."""
+
+    @pytest.mark.parametrize("argv,inputs,code,digest", PINNED_OUTPUTS)
+    def test_output_digest(self, tmp_path, argv, inputs, code, digest):
+        for name in inputs:
+            build, text_digest = INPUTS[name]
+            text = build()
+            assert hashlib.sha256(text.encode()).hexdigest() == text_digest, name
+            (tmp_path / name).write_text(text)
+        child = cli_child(*argv, cwd=tmp_path, stdout=subprocess.PIPE)
         try:
             out, err = child.communicate(timeout=20)
         finally:
             child.kill()
-        assert (child.returncode, err) == (0, b"")
+        assert child.returncode == code, err
+        assert (err == b"") == (code == 0)
         assert hashlib.sha256(out).hexdigest() == digest
 
 
@@ -698,7 +819,6 @@ class TestJsonRoundTrip:
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-P = next(intlinalg._crt_primes())
 HUGE = 10**40
 
 
@@ -725,7 +845,7 @@ def _sigma_kinds(rng, d):
         return [list(r) for r in sampling.random_finite_order_matrix(rng, d).rows]
 
     def lift_of_finite_order():
-        # congruent mod P to a finite-order matrix, as the adversarial sigma
+        # congruent mod P to a finite-order matrix, as `lifted_block_sigma`
         rows = finite_order()
         rows[rng.randrange(d)][rng.randrange(d)] += rng.choice((-P, P))
         return rows
