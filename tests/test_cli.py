@@ -631,8 +631,7 @@ P = next(intlinalg._crt_primes())
 
 def sigma_file(sigma, chi_order=1, q=4):
     """A d = 64 input file for both `torus-rank` and `oracle --file`."""
-    return json.dumps({"dimension": 64, "chi_order": chi_order, "q": q,
-                       "sigma": [list(row) for row in sigma]})
+    return json.dumps({"dimension": 64, "chi_order": chi_order, "q": q, "sigma": sigma})
 
 
 def dense_sigma():
