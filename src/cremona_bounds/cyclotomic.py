@@ -11,10 +11,10 @@ Stride rule: a polynomial whose nonzero exponents are all multiples of k is
 f(X^k), and it is stored so, as k and the compressed sequence f, with k the
 gcd of those exponents. Such operands are common here: Phi_n(X) =
 Phi_r(X^(n/r)) for the radical r of n, and the lemma's check of Phi_{m p^f}
-mod p multiplies by Phi_m(X^(p^(f-1))). Products and powers work in X^g for
-the gcd g of their operands' strides, and reductions mod p, `compose_power`,
-equality, evaluation and indexing work on f; so do root multiplicities mod
-p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p
+multiplies it by Phi_m(X^(p^(f-1))) over Z. Products and powers work in X^g
+for the gcd g of their operands' strides, and reductions mod p,
+`compose_power`, equality, evaluation and indexing work on f; so do root
+multiplicities mod p, by the Frobenius step f(X^(m p^j)) = f(X^m)^(p^j) over Z/p
 (`_frobenius_form`, for `root_multiplicity`, the lemma and
 `order_t_multiplicity`). Only reading `coeffs` expands f by k, at each
 read.
@@ -542,8 +542,11 @@ def verify_lemma_range(n_max: int, primes) -> Report:
     (a) every order-t residue has the same multiplicity as a root of Phi_n mod p;
     (b) that multiplicity is positive iff n = t * p^f, i.e. n's p-free part is t;
     (c) Phi_{n p^f} = Phi_n^{phi(p^f)} mod p for f <= 2 whenever p does not
-        divide n and n p^f is a supported cyclotomic index, by one product:
-        Phi_{nq} * Phi_n(X^(q/p)) = Phi_n(X^q) mod p for q = p^f (Frobenius).
+        divide n and n p^f is a supported cyclotomic index, by one product
+        over Z: Phi_{nq} * Phi_n(X^(q/p)) = Phi_n(X^q) for q = p^f. Mod p,
+        Phi_n(X^q) = Phi_n^q (Frobenius) and F_p[X] has no zero divisors,
+        so the identity gives (c); it also fails a Phi_{nq} off by a
+        multiple of p, which (c) alone lets pass.
 
     Facts (a) and (b) run n by n on the stored form f of Phi_n: g =
     gcd(f, X^(p-1) - 1) mod p, the product of its distinct roots in F_p^*,
@@ -584,15 +587,13 @@ def verify_lemma_range(n_max: int, primes) -> Report:
         for n in range(1, min(n_max, MAX_CYCLOTOMIC_INDEX // p) + 1):
             if n % p == 0:
                 continue
-            base = reduce_mod(cyclotomic_poly(n), p)
+            base = cyclotomic_poly(n)
             for f in (1, 2):
                 q = p**f
                 if n * q > MAX_CYCLOTOMIC_INDEX:
                     break
-                lifted = reduce_mod(cyclotomic_poly(n * q), p)
                 report.checks_run += 1
-                # iff lifted = base^(q - q/p): F_p[X] has no zero divisors, g^q = g(X^q)
-                if lifted * base.compose_power(q // p) != base.compose_power(q):
+                if cyclotomic_poly(n * q) * base.compose_power(q // p) != base.compose_power(q):
                     report.counterexamples.append(
                         {"n": n, "p": p, "f": f, "fact": "prime_power_identity"}
                     )

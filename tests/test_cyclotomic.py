@@ -906,8 +906,8 @@ class TestPrimePowerIdentity:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_frobenius_check_matches_power(self, p, monkeypatch):
         # verify_lemma_range checks fact (c) as Phi_{nq} * Phi_n(X^(q/p)) =
-        # Phi_n(X^q) mod p; it must accept the true Phi_{nq} and reject one
-        # with a coefficient shifted by 1, as the power form Phi_n^phi(q) does
+        # Phi_n(X^q) over Z; it must accept the true Phi_{nq} and reject one
+        # with a coefficient shifted by 1, as the power form Phi_n^phi(q) mod p does
         cases = [(n, f) for n in range(1, 201) if n % p for f in (1, 2)
                  if n * p**f <= 10**6]
         assert verify_lemma_range(200, {p}).passed
@@ -992,14 +992,40 @@ class TestVerifyLemmaRange:
         assert report.to_dict()["passed"] is False
 
     def test_prime_power_identity_counterexample(self, monkeypatch):
-        # an X -> X^k that returns its operand breaks Phi_{3^f} * Phi_1(X^(3^(f-1)))
-        # = Phi_1(X^(3^f)) mod 3
-        monkeypatch.setattr(ModPoly, "compose_power", lambda self, k: self)
+        # an X -> X^k that leaves Phi_1 = X - 1 as it is breaks
+        # Phi_{3^f} * Phi_1(X^(3^(f-1))) = Phi_1(X^(3^f)); no cached Phi_n is
+        # built from Phi_1 by X -> X^k, so the cache stays clean
+        true_compose = IntPoly.compose_power
+        phi_1 = cyclotomic_poly(1)
+        monkeypatch.setattr(IntPoly, "compose_power",
+                            lambda self, k: self if self == phi_1 else true_compose(self, k))
         report = verify_lemma_range(1, {3})
         assert report.counterexamples == [
             {"n": 1, "p": 3, "f": f, "fact": "prime_power_identity"} for f in (1, 2)
         ]
         assert report.to_dict()["passed"] is False
+
+    def test_prime_power_identity_over_z(self, monkeypatch):
+        # Phi_3027 (n = 3, p = 1009) shifted by +-1009 at two symmetric pairs
+        # keeps its degree, palindromy, value at 1 and residues mod 1009, so
+        # Phi_3027 = Phi_3^1008 mod 1009 still holds; the identity over Z fails
+        true_poly = cyclotomic.cyclotomic_poly
+        coeffs = list(true_poly(3027).coeffs)
+        top = len(coeffs) - 1
+        for i, shift in ((100, 1009), (333, -1009)):
+            coeffs[i] += shift
+            coeffs[top - i] += shift
+        planted = IntPoly(coeffs)
+        assert planted.degree == top and planted.coeffs == planted.coeffs[::-1]
+        assert planted(1) == true_poly(3027)(1)
+        assert reduce_mod(planted, 1009) == reduce_mod(true_poly(3027), 1009)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly",
+                            lambda m: planted if m == 3027 else true_poly(m))
+        report = verify_lemma_range(3, {1009})
+        assert report.counterexamples == [
+            {"n": 3, "p": 1009, "f": 1, "fact": "prime_power_identity"}
+        ]
+        assert report.checks_run == 183
 
     def test_lists_no_residues(self, monkeypatch):
         # facts (a) and (b) are gcds in F_p[X]: no residue is listed
@@ -1030,11 +1056,16 @@ class TestVerifyLemmaRange:
         assert max(built, default=0) <= 101
 
     def test_no_modpoly_power(self, monkeypatch):
-        def forbidden(self, k):
-            raise AssertionError("fact (c) raised a ModPoly to a power")
+        # fact (c) is one IntPoly product per cell: no ModPoly is raised to a
+        # power or multiplied, and nothing is reduced mod p
+        def forbidden(*args):
+            raise AssertionError("fact (c) worked mod p")
 
+        monkeypatch.setattr(cyclotomic, "reduce_mod", forbidden)
+        monkeypatch.setattr(ModPoly, "__mul__", forbidden)
         monkeypatch.setattr(ModPoly, "__pow__", forbidden)
         assert verify_lemma_range(60, {2, 3, 5, 7, 11, 13}).passed
+        assert verify_lemma_range(300, {13}).passed
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,12 @@ import pytest
 from cremona_bounds import intlinalg, torus_rank
 from cremona_bounds.cyclotomic import cyclotomic_poly
 from cremona_bounds.errors import DomainError
+from cremona_bounds.ff_oracle import (
+    FiniteFieldTorus,
+    p_elementary_rank,
+    rational_points_structure,
+    smallest_field_with_t,
+)
 from cremona_bounds.intlinalg import IntMatrix, companion_matrix
 from cremona_bounds.numth import euler_phi, is_prime, residues_of_order
 from cremona_bounds.sampling import random_finite_order_matrix, random_unimodular
@@ -296,6 +302,47 @@ class TestBasisInvariance:
                 cert = fixed_point_rank(GaloisTorusPresentation(d, conj, t), p)
                 assert cert.eigenspace_rank == base.eigenspace_rank
                 assert cert.char_poly_indices == base.char_poly_indices
+
+
+def prime_order_classes(ell, d_max):
+    """(a, b, c, sigma) for every Z-class of order ell in dimension d <= d_max:
+    sigma is [1]^a + C(Phi_ell)^b + (ell-cycle)^c with b + c >= 1 and
+    a + (ell - 1)b + ell c = d, conjugated by random_unimodular(Random(19), d)."""
+    cycle = IntMatrix([[int(j == (i + 1) % ell) for j in range(ell)] for i in range(ell)])
+    blocks = (IntMatrix.identity(1), companion_matrix(cyclotomic_poly(ell)), cycle)
+    for c in range(d_max // ell + 1):
+        for b in range(c == 0, (d_max - ell * c) // (ell - 1) + 1):
+            for a in range(d_max - ell * c - (ell - 1) * b + 1):
+                d = a + (ell - 1) * b + ell * c
+                sigma = IntMatrix.block_diagonal(
+                    [blocks[0]] * a + [blocks[1]] * b + [blocks[2]] * c)
+                u, u_inv = random_unimodular(random.Random(19), d)
+                yield a, b, c, u @ sigma @ u_inv
+
+
+class TestPrimeOrderClasses:
+    """Every Z-class of prime order ell <= 19 is Z^a + Z[zeta_ell]^b +
+    Z[C_ell]^c (Diederichsen, Reiner: Q(zeta_ell) has class number 1). Mod
+    ell, sigma is unipotent and each indecomposable block has a
+    one-dimensional fixed space, so the rank at p = ell, t = 1 is a + b + c
+    in closed form, against a chain sum of (a + c) + (ell - 1)(b + c). All
+    815 classes with d <= 16 are checked; ell = 19 first has one at d = 18."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13, 17])
+    def test_rank_in_closed_form(self, ell):
+        q = smallest_field_with_t(ell, 1)
+        classes = 0
+        for a, b, c, sigma in prime_order_classes(ell, 16):
+            classes += 1
+            rank = a + b + c
+            report = multiplicity_chain_check(
+                GaloisTorusPresentation(sigma.dimension, sigma, 1), ell)
+            assert report.passed, (a, b, c)
+            assert report.per_eps_eigenspace_rank == {1: rank}, (a, b, c)
+            assert report.total_multiplicity == (a + c) + (ell - 1) * (b + c), (a, b, c)
+            points = rational_points_structure(FiniteFieldTorus(q, sigma))
+            assert p_elementary_rank(points, ell) == rank, (a, b, c)
+        assert classes == {2: 508, 3: 187, 5: 64, 7: 33, 11: 13, 13: 9, 17: 1}[ell]
 
 
 class TestFactorOnce:
