@@ -424,7 +424,9 @@ def _frobenius_form(poly: _Poly, p: int) -> tuple:
     """(f, m, q) for poly = f(X^k) over Z or Z/p, k = m * q with q = p^j the
     p-power part of k, gcd(k, p^bits(k)), so that poly = f(X^m)^q over Z/p
     (Frobenius); f is the stored sequence, unreduced. DomainError if f is 0
-    mod p."""
+    mod p. Read by `root_multiplicity` and by the order-t cells of the
+    lemma and of `order_t_multiplicity`, which the torus chain and the Weyl
+    audit run."""
     if not any(c % p for c in poly._short):
         raise DomainError("root multiplicity undefined for the zero polynomial")
     k = poly.stride or 1
@@ -446,7 +448,10 @@ def root_multiplicity(pbar: ModPoly, eps: int) -> int:
     f(X^k) alone (`_frobenius_form`): eps != 0 is a simple root of
     X^m - eps^m, so the multiplicity is q = p^j times that of eps^m in f;
     that of 0 is k times that of 0 in f. f is evaluated there once by
-    Horner's rule, and only a root pays for the valuation by X - eps^m."""
+    Horner's rule, and only a root pays for the valuation by X - eps^m.
+
+    The single-residue API: no subcommand calls it; the order-t cells are
+    checked against it, one residue at a time."""
     if pbar.p is None:
         raise DomainError("root multiplicity needs a polynomial mod p")
     p, eps = pbar.p, index(eps)

@@ -13,7 +13,7 @@ an upper bound only.
 
 import math
 
-from .cyclotomic import cyclotomic_poly, reduce_mod, root_multiplicity
+from .cyclotomic import cyclotomic_poly, order_t_multiplicity
 from .errors import DomainError, Record, Report, VerificationError
 from .intlinalg import (
     MAX_DIMENSION,
@@ -67,6 +67,10 @@ def fixed_point_rank(pres: GaloisTorusPresentation, p: int) -> RankCertificate:
 def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     """Check mult_eps(Phi_{d_i} mod p) <= phi(d_i)/phi(t) factor by factor.
 
+    Each multiplicity is `order_t_multiplicity(d_i, p, t)`, the lemma's
+    order-t cell, which checks fact (a) on the factor: VerificationError if
+    the order-t residues are roots of different multiplicities.
+
     Also records the eigenspace rank at every order-t residue and checks it
     against the chain sum, which is the same at every such residue (fact (a)):
     when p does not divide the order N of sigma, X^N - 1 is separable mod p,
@@ -92,7 +96,7 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     factors, violations = [], []
     total = 0
     for d_i in pres.char_poly_indices:
-        mult = root_multiplicity(reduce_mod(cyclotomic_poly(d_i), p), eps)
+        mult = order_t_multiplicity(d_i, p, t)
         total += mult
         factors.append({
             "index": d_i,

@@ -8,7 +8,7 @@ e3 is -(e0+e1+e2). Coordinate permutations descend to 3x3 integer matrices.
 from itertools import permutations
 from math import prod
 
-from .cyclotomic import IntPoly, cyclotomic_poly, reduce_mod, root_multiplicity
+from .cyclotomic import IntPoly, cyclotomic_poly, order_t_multiplicity
 from .errors import DomainError, Record, Report
 from .intlinalg import IntMatrix, finite_order_indices
 from .numth import check_prime
@@ -46,9 +46,10 @@ def audit_pgl4(p: int = 3) -> Report:
     no element acts as -I, no characteristic polynomial equals (X+1)^3, and
     the multiplicity of -1 mod p as a root of the reduced characteristic
     polynomial never exceeds 2. The char poly is the product of Phi_d over
-    the indices of `finite_order_indices`, the one checked route. The prime
-    p must be odd: mod 2, -1 is the root 1, of multiplicity 3 for the
-    identity."""
+    the indices of `finite_order_indices`, the one checked route, so the
+    multiplicity is the sum over those indices of the lemma's order-2 cell,
+    -1 being the only residue of order 2. The prime p must be odd: mod 2,
+    -1 is the root 1, of multiplicity 3 for the identity."""
     check_prime(p)
     if p == 2:
         raise DomainError("the audit needs an odd prime: -1 and 1 coincide mod 2")
@@ -56,11 +57,10 @@ def audit_pgl4(p: int = 3) -> Report:
     max_mult = 0
     minus_identity = IntMatrix.identity(3).shift(-1, 0)
     x_plus_1_cubed = IntPoly((1, 1)) ** 3
-    minus_one = p - 1
     for elem in enumerate_weyl():
         indices = finite_order_indices(elem.matrix)
         f = prod(map(cyclotomic_poly, indices), start=IntPoly((1,)))
-        mult = root_multiplicity(reduce_mod(f, p), minus_one)
+        mult = sum(order_t_multiplicity(d, p, 2) for d in indices)
         row = {
             "permutation": list(elem.permutation),
             "char_poly": str(f),

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cremona_bounds
 from cremona_bounds import (
     cyclotomic,
     ff_oracle,
@@ -280,12 +283,29 @@ class TestTorusRank:
         assert "verification failure" in err and "exceeds bound" in err
 
     def test_chain_violation_exits_3(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(torus_rank, "root_multiplicity", lambda pbar, eps: 2)
+        monkeypatch.setattr(torus_rank, "order_t_multiplicity", lambda n, p, t: 2)
         path = write_json(
             tmp_path, "torus.json", {"dimension": 1, "sigma": [[-1]], "chi_order": 2}
         )
         results = failed_check(capsys, "torus-rank", "--file", path, "--p", "3")
         assert results["multiplicity_chain"]["violations"]
+
+    def test_disagreeing_residues_exit_3(self, capsys, tmp_path, monkeypatch):
+        # Phi_4 planted as (X - 2)^2 (X - 3) for the chain, through a wrapper
+        # that keeps the cache clean: mod 5 the order-4 residues 2 and 3 get
+        # multiplicities 2 and 1, and the lemma's cell refuses to pick one
+        true_poly = cyclotomic.cyclotomic_poly
+        planted = IntPoly((-12, 16, -7, 1))
+        for module in (cyclotomic, torus_rank):
+            monkeypatch.setattr(module, "cyclotomic_poly",
+                                lambda n: planted if n == 4 else true_poly(n))
+        path = write_json(
+            tmp_path, "torus.json", {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4}
+        )
+        code, out, err = run(capsys, "torus-rank", "--file", path, "--p", "5")
+        assert (code, out) == (3, "")
+        assert err == ("verification failure: order-4 residues disagree on multiplicity "
+                       "for n=4, p=5: 1 of 2 have multiplicity 1\n")
 
     def test_rank_off_the_chain_sum_exits_3(self, capsys, tmp_path, monkeypatch):
         # 3 does not divide the order 2 of sigma, so the rank at eps = 1 must
@@ -336,6 +356,32 @@ class TestTorusRank:
         assert code == 3
         assert out == ""
         assert "constant term is not (-1)^d det" in err
+
+
+class TestOneMultiplicityRoute:
+    def test_no_single_residue_multiplicity(self, capsys, tmp_path, monkeypatch):
+        # the torus chain and the Weyl audit read every multiplicity from the
+        # lemma's order-t cell; root_multiplicity is wrapped wherever the
+        # package binds it, and none of the three commands calls it
+        calls = []
+        modules = [cremona_bounds] + [importlib.import_module(f"cremona_bounds.{info.name}")
+                                      for info in pkgutil.iter_modules(cremona_bounds.__path__)]
+        for module in modules:
+            if hasattr(module, "root_multiplicity"):
+                monkeypatch.setattr(module, "root_multiplicity",
+                                    lambda *args, f=module.root_multiplicity:
+                                    calls.append(args) or f(*args))
+        phi10 = tmp_path / "phi10.json"
+        phi10.write_text(INPUTS["phi10.json"][0]())
+        rotation = write_json(
+            tmp_path, "torus.json", {"dimension": 2, "sigma": [[0, -1], [1, 0]], "chi_order": 4}
+        )
+        for argv in (["torus-rank", "--file", str(phi10), "--p", "5"],
+                     ["torus-rank", "--file", rotation, "--p", "13"],
+                     ["sharpness"], ["weyl-audit"], ["weyl-audit", "--p", "2147483629"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        assert calls == []
 
 
 class TestOracle:
@@ -687,6 +733,11 @@ INPUTS = {
         lifted_block_sigma, "b4ed442f9a6c7abad768cfaaa07860a12398fde89af2d0467fa8451f06ca7f00"),
     "multiple-of-p-sigma.json": (
         multiple_of_p_sigma, "ccf9a88b59e9f5ab6db2595d0901cf16572f984f7f79dca834a04db20f595aa1"),
+    # the companion matrix of Phi_10
+    "phi10.json": (
+        lambda: '{"dimension": 4, "chi_order": 2, "sigma": '
+                '[[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, 1]]}\n',
+        "134f539d9b880cc98ef970733802a66d17f960171f3b44c1ef0d8e5ef25568c0"),
 }
 
 # One row per pinned run: argv, the INPUTS it reads, the exit code and the
@@ -738,6 +789,22 @@ PINNED_OUTPUTS = [
                   "--format", "json"], ["dense-sigma.json"], 0,
                  "ca927d9cc233463fd34fd209623e96d0b4211d78e8b25c2d17b9dc5b977816c4",
                  id="dense-sigma-oracle"),
+    # -1 is the only residue of order 2: the audit sums its cells over the
+    # indices of each element
+    pytest.param(["weyl-audit", "--p", "3", "--format", "json"], [], 0,
+                 "702681d5fb0ac5fd6a11ec1158d7256057f679cbf20a20730ce52e848aa88806",
+                 id="weyl-audit-3"),
+    pytest.param(["weyl-audit", "--p", "2147483629", "--format", "json"], [], 0,
+                 "3bc37354167d7660beb3b6b5ffc87bc1baa7ae992df0f317b433033816f0bc59",
+                 id="weyl-audit-2147483629"),
+    pytest.param(["sharpness", "--format", "json"], [], 0,
+                 "cc8c941955247befd30684868042ae9afee16852c366fad707e9eb9be3ff78a4",
+                 id="sharpness"),
+    # 5 divides the order 10 of sigma: the chain takes its kernel per residue
+    pytest.param(["torus-rank", "--file", "phi10.json", "--p", "5", "--format", "json"],
+                 ["phi10.json"], 0,
+                 "b247740057517b6695fb36e6fda952d029eb3a24e97b381e04ca6f3bd51bc5ae",
+                 id="phi10-torus-rank"),
     # both loaders reject each sigma of infinite order with an empty stdout
     *(pytest.param([command, "--file", name, "--p", "3"], [name], 2,
                    hashlib.sha256(b"").hexdigest(), id=f"{name[:-5]}-{command}")

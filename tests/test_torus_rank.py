@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from cremona_bounds import intlinalg, torus_rank
-from cremona_bounds.cyclotomic import cyclotomic_poly
-from cremona_bounds.errors import DomainError
+from cremona_bounds import cyclotomic, intlinalg, torus_rank
+from cremona_bounds.cyclotomic import IntPoly, cyclotomic_poly, reduce_mod, root_multiplicity
+from cremona_bounds.errors import DomainError, VerificationError
 from cremona_bounds.ff_oracle import (
     FiniteFieldTorus,
     p_elementary_rank,
@@ -13,10 +13,11 @@ from cremona_bounds.ff_oracle import (
     smallest_field_with_t,
 )
 from cremona_bounds.intlinalg import IntMatrix, companion_matrix
-from cremona_bounds.numth import euler_phi, is_prime, residues_of_order
+from cremona_bounds.numth import divisors, euler_phi, is_prime, residues_of_order
 from cremona_bounds.sampling import random_finite_order_matrix, random_unimodular
 from cremona_bounds.torus_rank import (
     GaloisTorusPresentation,
+    RankCertificate,
     fixed_point_rank,
     multiplicity_chain_check,
     sharp_construction,
@@ -189,7 +190,7 @@ class TestMultiplicityChain:
         # multiplicity 2 of eps in Phi_2 exceeds phi(2) / phi(2) = 1, the
         # total exceeds floor(1 / phi(2)) = 1, and 3 does not divide the order
         # 2 of sigma, so the eigenspace rank 1 must equal the total 2
-        monkeypatch.setattr(torus_rank, "root_multiplicity", lambda pbar, eps: 2)
+        monkeypatch.setattr(torus_rank, "order_t_multiplicity", lambda n, p, t: 2)
         pres = GaloisTorusPresentation(1, IntMatrix([[-1]]), 2)
         report = multiplicity_chain_check(pres, 3)
         assert report.violations == [
@@ -198,6 +199,38 @@ class TestMultiplicityChain:
             {"eigenspace_rank": 1, "total_multiplicity": 2, "p_divides_order": False},
         ]
         assert report.to_dict()["passed"] is False
+
+    def test_disagreeing_residues_fail_loudly(self, monkeypatch):
+        # Phi_4 planted as (X - 2)^2 (X - 3) = X^3 - 7X^2 + 16X - 12, through a
+        # wrapper that keeps the cache of cyclotomic_poly clean: mod 5 the
+        # order-4 residues 2 and 3 are roots of multiplicities 2 and 1. One
+        # residue read alone gives 1 at eps = 3; the lemma's cell sees both
+        pres = GaloisTorusPresentation(2, companion_matrix(cyclotomic_poly(4)), 4)
+        true_poly = cyclotomic.cyclotomic_poly
+        planted = IntPoly((-12, 16, -7, 1))
+        for module in (cyclotomic, torus_rank):
+            monkeypatch.setattr(module, "cyclotomic_poly",
+                                lambda n: planted if n == 4 else true_poly(n))
+        with pytest.raises(VerificationError, match=r"^order-4 residues disagree on "
+                           r"multiplicity for n=4, p=5: 1 of 2 have multiplicity 1$"):
+            multiplicity_chain_check(pres, 5)
+
+    def test_factors_match_the_single_residue_reference(self):
+        # each factor's multiplicity, read from the lemma's order-t cell, is
+        # root_multiplicity's at every order-t residue, one residue at a time
+        rng = random.Random(36)
+        primes = [p for p in range(2, 32) if is_prime(p)]
+        for _ in range(24):
+            d = rng.randint(1, 12)
+            sigma = random_finite_order_matrix(rng, d)
+            for p in primes:
+                for t in divisors(p - 1):
+                    report = multiplicity_chain_check(GaloisTorusPresentation(d, sigma, t), p)
+                    residues = residues_of_order(p, t)
+                    for factor in report.factors:
+                        pbar = reduce_mod(cyclotomic_poly(factor["index"]), p)
+                        assert ({root_multiplicity(pbar, e) for e in residues}
+                                == {factor["multiplicity"]}), (factor, p, t)
 
     @pytest.mark.parametrize("sigma,t,p,divides", [
         ([[1]], 1, 3, False),  # rank 1 = chain sum 1, p does not divide 1
@@ -217,7 +250,6 @@ class TestMultiplicityChain:
                         "p_divides_order": divides}
             violations = multiplicity_chain_check(pres, p).violations
             assert violations == ([expected] if breach else [])
-
 
     @pytest.mark.parametrize("index,t,p,divides", [
         (4, 4, 13, False),
@@ -304,19 +336,19 @@ class TestBasisInvariance:
                 assert cert.char_poly_indices == base.char_poly_indices
 
 
-def prime_order_classes(ell, d_max):
-    """(a, b, c, sigma) for every Z-class of order ell in dimension d <= d_max:
-    sigma is [1]^a + C(Phi_ell)^b + (ell-cycle)^c with b + c >= 1 and
+def prime_order_classes(ell, dims):
+    """(a, b, c, sigma) for every Z-class of order ell in each dimension d in
+    dims: sigma is [1]^a + C(Phi_ell)^b + (ell-cycle)^c with b + c >= 1 and
     a + (ell - 1)b + ell c = d, conjugated by random_unimodular(Random(19), d)."""
     cycle = IntMatrix([[int(j == (i + 1) % ell) for j in range(ell)] for i in range(ell)])
     blocks = (IntMatrix.identity(1), companion_matrix(cyclotomic_poly(ell)), cycle)
-    for c in range(d_max // ell + 1):
-        for b in range(c == 0, (d_max - ell * c) // (ell - 1) + 1):
-            for a in range(d_max - ell * c - (ell - 1) * b + 1):
-                d = a + (ell - 1) * b + ell * c
+    for d in dims:
+        u, u_inv = random_unimodular(random.Random(19), d)
+        for c in range(d // ell + 1):
+            for b in range(c == 0, (d - ell * c) // (ell - 1) + 1):
+                a = d - ell * c - (ell - 1) * b
                 sigma = IntMatrix.block_diagonal(
                     [blocks[0]] * a + [blocks[1]] * b + [blocks[2]] * c)
-                u, u_inv = random_unimodular(random.Random(19), d)
                 yield a, b, c, u @ sigma @ u_inv
 
 
@@ -326,13 +358,15 @@ class TestPrimeOrderClasses:
     ell, sigma is unipotent and each indecomposable block has a
     one-dimensional fixed space, so the rank at p = ell, t = 1 is a + b + c
     in closed form, against a chain sum of (a + c) + (ell - 1)(b + c). All
-    815 classes with d <= 16 are checked; ell = 19 first has one at d = 18."""
+    815 classes with d <= 16 are checked; ell = 19 first has one at d = 18.
+    At d = 64 the classes of order 11 to 19 run the chain at p | d_i, where
+    the lemma's cell takes the Frobenius step of Phi_ell = (X - 1)^(ell - 1)."""
 
     @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13, 17])
     def test_rank_in_closed_form(self, ell):
         q = smallest_field_with_t(ell, 1)
         classes = 0
-        for a, b, c, sigma in prime_order_classes(ell, 16):
+        for a, b, c, sigma in prime_order_classes(ell, range(1, 17)):
             classes += 1
             rank = a + b + c
             report = multiplicity_chain_check(
@@ -343,6 +377,21 @@ class TestPrimeOrderClasses:
             points = rational_points_structure(FiniteFieldTorus(q, sigma))
             assert p_elementary_rank(points, ell) == rank, (a, b, c)
         assert classes == {2: 508, 3: 187, 5: 64, 7: 33, 11: 13, 13: 9, 17: 1}[ell]
+
+    @pytest.mark.parametrize("ell", [11, 13, 17, 19])
+    def test_rank_in_closed_form_at_dimension_64(self, ell):
+        classes = 0
+        for a, b, c, sigma in prime_order_classes(ell, [64]):
+            classes += 1
+            rank = a + b + c
+            pres = GaloisTorusPresentation(64, sigma, 1)
+            report = multiplicity_chain_check(pres, ell)
+            assert report.passed, (a, b, c)
+            assert report.per_eps_eigenspace_rank == {1: rank}, (a, b, c)
+            assert report.total_multiplicity == (a + c) + (ell - 1) * (b + c), (a, b, c)
+            cert = RankCertificate.from_chain(pres, report)
+            assert (cert.eigenspace_rank, cert.upper_bound) == (rank, 64), (a, b, c)
+        assert classes == {11: 25, 13: 19, 17: 10, 19: 9}[ell]
 
 
 class TestFactorOnce:
