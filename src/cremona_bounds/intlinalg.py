@@ -5,9 +5,11 @@ modulo primes below 2^62, the symmetric lift of the residues mod the first
 one, checked modulo the further primes whose number is fixed by a
 Hadamard-type coefficient bound; Cohen, GTM 138, Section 2.2), cyclotomic
 factorization of monic integer polynomials, finite-order detection, Smith
-normal form, and kernel dimensions mod p. Matrix products pack each row of
-the right operand into one integer (Kronecker substitution, as for
-polynomial products).
+normal form, and kernel dimensions mod p. One forward Gaussian elimination
+mod a prime gives both the kernel dimensions and the determinant that
+cross-checks the char poly; no determinant is taken over Z. Matrix products
+pack each row of the right operand into one integer (Kronecker
+substitution, as for polynomial products).
 """
 
 from itertools import chain
@@ -82,28 +84,6 @@ class IntMatrix(_Checked):
 
     def __pow__(self, n: int) -> "IntMatrix":
         return _power(self, n, IntMatrix.identity(self.dimension), matmul)
-
-    def det(self) -> int:
-        """Determinant via fraction-free Bareiss elimination."""
-        d = self.dimension
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, d):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[d - 1][d - 1]
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
@@ -217,11 +197,18 @@ def _residues(m: IntMatrix):
             return
 
 
-def _cross_check(m: IntMatrix, coeffs):
-    """c_{d-1} = -tr M and c_0 = (-1)^d det M (Bareiss), or VerificationError."""
+def _cross_check(m: IntMatrix, coeffs, p: int):
+    """c_{d-1} = -tr M exactly and c_0 = (-1)^d det M mod p, det M by
+    Gaussian elimination (`_eliminate`), or VerificationError.
+
+    Run on a lift from `finite_order_indices`: c_0 = +-1, as the lift is a
+    product of cyclotomic polynomials, and det M = +-1 for any M that the
+    final M^N = I accepts. The two sides then differ by 0 or 2, and p is odd,
+    so the congruence holds exactly when the equality does.
+    """
     if coeffs[-2] != -sum(row[i] for i, row in enumerate(m.rows)):
         raise VerificationError("char poly: coefficient of X^(d-1) is not -trace")
-    if coeffs[0] != (-1) ** m.dimension * m.det():
+    if (coeffs[0] - (-1) ** m.dimension * _eliminate(m.rows, p)[1]) % p:
         raise VerificationError("char poly: constant term is not (-1)^d det")
 
 
@@ -263,7 +250,10 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     dividing it, has g(M) v = 0 for v = (1, ..., 1). Both tests run mod P and
     only reject. M is powered only once the lift agrees with the residues
     modulo each further prime of _residues, whose product with P exceeds
-    twice the bound on both: then the lift is the char poly.
+    twice the bound on both: then the lift is the char poly. Before the
+    power, `_cross_check` compares the lift's c_{d-1} with -tr M over Z and
+    its c_0 with (-1)^d det M mod P, det M from a Gaussian elimination mod P,
+    a path independent of the Hessenberg reduction.
 
     M is immutable, so the indices are kept on it and each matrix is
     checked once, however many tori share it.
@@ -287,7 +277,7 @@ def finite_order_indices(m: IntMatrix) -> tuple:
     for q, r in residues:
         if [c % q for c in lift] != r:
             raise NotFiniteOrder("char poly is not its lift mod P: M has infinite order")
-    _cross_check(m, lift)
+    _cross_check(m, lift, p)
     n = lcm(*indices)
     if m**n != IntMatrix.identity(m.dimension):
         raise NotFiniteOrder(f"M^{n} != I (matrix is not semisimple)")
@@ -356,23 +346,34 @@ def _smith_diagonal(a) -> tuple:
     return tuple(diag)
 
 
-def kernel_dim_mod_p(m: IntMatrix, p: int) -> int:
-    """Dimension over Z/p of the null space of M mod p."""
-    check_prime(p)
-    d = m.dimension
-    a = [[x % p for x in row] for row in m.rows]
-    rank = 0
+def _eliminate(rows, p: int) -> tuple:
+    """(rank, det) of M mod p, for any prime p: forward Gaussian elimination,
+    det the product of the pivots with one sign flip per row swap, 0 when
+    the rank is short. p is not checked, so primes above 2^31 serve too."""
+    d = len(rows)
+    a = [[x % p for x in row] for row in rows]
+    rank, det = 0, 1
     for col in range(d):
         piv = next((i for i in range(rank, d) if a[i][col]), None)
         if piv is None:
+            det = 0
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, d):
-            if a[i][col]:
-                c = a[i][col] * inv % p
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], top)]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        # entries left of col are zero in the rows from rank on
+        tail = a[rank][col:]
+        det = det * tail[0] % p
+        inv = pow(tail[0], -1, p)
+        for row in a[rank + 1:]:
+            if row[col]:
+                c = row[col] * inv % p
+                row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
         rank += 1
-    return d - rank
+    return rank, det
 
+
+def kernel_dim_mod_p(m: IntMatrix, p: int) -> int:
+    """Dimension over Z/p of the null space of M mod p."""
+    check_prime(p)
+    return m.dimension - _eliminate(m.rows, p)[0]

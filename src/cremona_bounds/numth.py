@@ -64,11 +64,16 @@ def check_order_divides(p: int, t: int) -> int:
 
 
 # The most order-t residues mod p, phi(t) of them, that are ever listed:
-# above it, residues_of_order (so torus-rank) and order_t_multiplicity raise
-# DomainError before any work. The lemma sweep lists no residues and is not
-# capped. At the cap (p = 2,535,101, t = p - 1), torus-rank with d = 1
-# takes 4.6 s and 278 MiB peak RSS on a 2-vCPU VM (CPython 3.11.7, one child
-# process with interpreter start-up) and prints 21.6 MB.
+# above it, residues_of_order (so torus-rank) raises DomainError before any
+# work. order_t_multiplicity lists no residue but raises at the same cap,
+# which there bounds the power path of its cell: for t above deg Phi_n it
+# takes X^t mod Phi_n by square-and-multiply on schoolbook reductions. At
+# p = 2^31 - 1, n = 42966 that took 15.5 s for t = 42966 (phi(t) = 10,800,
+# under the cap) and 250 s for t = p - 1 with the cap lifted, in process.
+# The lemma sweep lists no residues and is not capped. At the cap
+# (p = 2,535,101, t = p - 1), torus-rank with d = 1 takes 4.6 s and 278 MiB
+# peak RSS and prints 21.6 MB (one child process with interpreter start-up).
+# Times are on a 2-vCPU VM with CPython 3.11.7.
 MAX_RESIDUES = 1_000_000
 
 

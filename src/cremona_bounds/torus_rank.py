@@ -68,8 +68,9 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     """Check mult_eps(Phi_{d_i} mod p) <= phi(d_i)/phi(t) factor by factor.
 
     Each multiplicity is `order_t_multiplicity(d_i, p, t)`, the lemma's
-    order-t cell, which checks fact (a) on the factor: VerificationError if
-    the order-t residues are roots of different multiplicities.
+    order-t cell, run once per distinct index, which checks fact (a) on the
+    factor: VerificationError if the order-t residues are roots of different
+    multiplicities.
 
     Also records the eigenspace rank at every order-t residue and checks it
     against the chain sum, which is the same at every such residue (fact (a)):
@@ -93,10 +94,11 @@ def multiplicity_chain_check(pres: GaloisTorusPresentation, p: int) -> Report:
     else:
         per_eps = dict.fromkeys(eigenvalues, kernel_dim_mod_p(pres.sigma.shift(1, eps), p))
     phi_t = euler_phi(t)
+    mults = {d: order_t_multiplicity(d, p, t) for d in dict.fromkeys(pres.char_poly_indices)}
     factors, violations = [], []
     total = 0
     for d_i in pres.char_poly_indices:
-        mult = order_t_multiplicity(d_i, p, t)
+        mult = mults[d_i]
         total += mult
         factors.append({
             "index": d_i,

@@ -345,8 +345,8 @@ class TestTorusRank:
 
     def test_char_poly_det_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         # char poly of the rotation is X^2 + 1, so c_0 = 1; det faked to 7
-        # makes the c_0 = (-1)^d det M cross-check fail
-        monkeypatch.setattr(IntMatrix, "det", lambda self: 7)
+        # mod P makes the c_0 = (-1)^d det M cross-check fail
+        monkeypatch.setattr(intlinalg, "_eliminate", lambda rows, p: (len(rows), 7))
         path = write_json(
             tmp_path,
             "torus.json",

@@ -200,6 +200,26 @@ class TestMultiplicityChain:
         ]
         assert report.to_dict()["passed"] is False
 
+    @pytest.mark.parametrize("blocks,t,p,indices", [
+        ([IntMatrix.identity(8)], 1, 7, [1] * 8),
+        ([IntMatrix.identity(3), IntMatrix([[-1]]), IntMatrix([[-1]]),
+          companion_matrix(cyclotomic_poly(4))], 2, 5, [1, 1, 1, 2, 2, 4]),
+    ], ids=["identity-8", "repeated-1-and-2"])
+    def test_one_cell_per_distinct_index(self, monkeypatch, blocks, t, p, indices):
+        # a repeated index runs its order-t cell once, and every factor that
+        # repeats it reads that cell's multiplicity
+        calls = []
+        original = torus_rank.order_t_multiplicity
+        monkeypatch.setattr(torus_rank, "order_t_multiplicity",
+                            lambda n, p, t: calls.append(n) or original(n, p, t))
+        sigma = IntMatrix.block_diagonal(blocks)
+        report = multiplicity_chain_check(GaloisTorusPresentation(sigma.dimension, sigma, t), p)
+        assert calls == sorted(set(indices))
+        assert [f["index"] for f in report.factors] == indices
+        expected = [original(n, p, t) for n in indices]
+        assert [f["multiplicity"] for f in report.factors] == expected
+        assert report.total_multiplicity == sum(expected)
+
     def test_disagreeing_residues_fail_loudly(self, monkeypatch):
         # Phi_4 planted as (X - 2)^2 (X - 3) = X^3 - 7X^2 + 16X - 12, through a
         # wrapper that keeps the cache of cyclotomic_poly clean: mod 5 the
